@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 class BranchPointError(ValueError):
@@ -101,6 +100,8 @@ class OverlapReport:
 
 
 def _close_pair_midpoints(approx: AttractorApprox, tol: float) -> np.ndarray:
+    from scipy.spatial import cKDTree  # deferred: scipy.spatial dominates `import cxcdyn`
+
     half = len(approx.points) // 2
     lower, upper = approx.points[:half], approx.points[half:]
     tree0, tree1 = cKDTree(_as_xy(lower)), cKDTree(_as_xy(upper))
@@ -209,6 +210,8 @@ def kneading_sequence(lam: complex, n: int, depth: int = 16,
         raise ValueError("halves appear disjoint at this tolerance; no branched cover")
     o = report.candidate_o
     approx = attractor_points(lam, depth)
+    from scipy.spatial import cKDTree  # deferred, as in _close_pair_midpoints
+
     tree = cKDTree(_as_xy(approx.points))
     leading = approx.leading_bits
 

@@ -40,6 +40,9 @@ class SpectralResult:
     iterations: int
 
 
+_DECAYED = float(np.finfo(float).eps)  # entries of the sup-normalized x below this are dropped
+
+
 def spectral_radius(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 10**5) -> SpectralResult:
     """Dominant eigenvalue and positive eigenvector of a nonnegative matrix.
 
@@ -48,8 +51,17 @@ def spectral_radius(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 10**
     shift removes periodicity (irreducible plus positive diagonal means
     primitive) and is scaled to the max row sum: a unit shift would crush
     the relative spectral gap of matrices with tiny entries and stall far
-    from convergence.  Stops when successive radius estimates differ by
-    less than tol/10.
+    from convergence.
+
+    Stops on the Collatz-Wielandt bounds: for a positive vector x, the
+    smallest and largest ratio (Ax)_i / x_i bracket the spectral radius.
+    The iteration ends when they agree within tol, scaled by the max row sum
+    when that exceeds 1 (the rounding floor of the ratios grows with it),
+    and returns the upper bound.  On a reducible matrix the entries of x
+    outside the dominant block decay and their ratios stay below the
+    radius; the lower bound is then also taken for x with those entries
+    zeroed (min over its support of (Az)_i / z_i still bounds the radius
+    from below for any nonnegative z != 0), which lets the bounds meet.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -61,26 +73,32 @@ def spectral_radius(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 10**
     if shift == 0.0:
         return SpectralResult(radius=0.0, vector=np.ones(n), iterations=0)
     shifted = a + shift * np.eye(n)
+    bound = tol * max(1.0, shift)
     x = np.ones(n)
-    estimate = np.inf
+    upper = lower = float("nan")
     for it in range(1, max_iter + 1):
         y = shifted @ x
-        norm = float(y.max())
-        new_estimate = norm - shift
-        x = y / norm
-        if abs(new_estimate - estimate) < tol / 10.0:
-            return SpectralResult(radius=new_estimate, vector=x, iterations=it)
-        estimate = new_estimate
-    residual = float(np.max(np.abs(shifted @ x - (estimate + shift) * x)))
+        ratios = y / x
+        upper, lower = float(ratios.max()), float(ratios.min())
+        kept = x >= _DECAYED
+        if not kept.all():
+            z = np.where(kept, x, 0.0)
+            lower = max(lower, float(((shifted @ z)[kept] / x[kept]).min()))
+        x = y / float(y.max())
+        if upper - lower <= bound:
+            return SpectralResult(radius=upper - shift, vector=x, iterations=it)
     raise ConvergenceError(f"power iteration did not converge in {max_iter} steps "
-                           f"(last residual {residual:.3e})")
+                           f"(Collatz-Wielandt bounds {lower - shift:.15g}, "
+                           f"{upper - shift:.15g})")
 
 
 def graph_spectral_radius(g: WeightedDigraph, alpha: float, tol: float = 1e-12) -> SpectralResult:
     """Spectral radius of the weight matrix at the given alpha.
 
     Requires an irreducible graph; the positive-eigenvector guarantees used
-    downstream come from Perron theory and fail otherwise.
+    downstream come from Perron theory and fail otherwise.  Validates the
+    graph on every call: loops over alpha should validate once and call
+    ``spectral_radius(weight_matrix(g, alpha))``, as ``solve_exponent`` does.
     """
     if not validate_graph(g).irreducible:
         raise ValueError("graph is not irreducible; spectral data undefined")
@@ -118,7 +136,8 @@ def solve_exponent(g: WeightedDigraph, mode: str = "conformal",
     mode "hausdorff": requires alpha; the exponent delta with
     radius(alpha/delta) = 1, the dimension in the unsnowflaked metric.
     The solver brackets by doubling and bisects, exploiting that the radius
-    is strictly decreasing in the exponent.
+    is strictly decreasing in the exponent.  The graph is validated once,
+    here; the radius evaluations skip the check.
     """
     report = validate_graph(g)
     if not report.irreducible:
@@ -130,12 +149,12 @@ def solve_exponent(g: WeightedDigraph, mode: str = "conformal",
         if alpha is not None:
             raise ValueError("alpha is only meaningful in hausdorff mode")
         def radius_at(exponent: float) -> float:
-            return graph_spectral_radius(g, 1.0 / exponent, tol=radius_tol).radius
+            return spectral_radius(weight_matrix(g, 1.0 / exponent), tol=radius_tol).radius
     elif mode == "hausdorff":
         if alpha is None or alpha <= 0:
             raise ValueError("hausdorff mode needs a positive alpha")
         def radius_at(exponent: float) -> float:
-            return graph_spectral_radius(g, alpha / exponent, tol=radius_tol).radius
+            return spectral_radius(weight_matrix(g, alpha / exponent), tol=radius_tol).radius
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

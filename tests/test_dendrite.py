@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from fractions import Fraction
 
+import cxcdyn
 from cxcdyn.dendrite import (BranchPointError, ExternalAngle,
                              KneadingSeq, RealQuadratic, attractor_points,
                              branched_cover_step, default_tolerance, involution,
@@ -167,3 +173,12 @@ def test_angle_reference_starts_with_one(num, den):
     except BranchPointError:
         return  # orbit hit a partition point: a legitimate outcome
     assert word.symbols[0] == "1"
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial is most of the import time; only the kd-tree queries need it
+    src = str(Path(cxcdyn.__file__).resolve().parents[1])
+    code = "import sys, cxcdyn; print('scipy.spatial' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert result.stdout.strip() == "False"

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+import cxcdyn.dimension
 from cxcdyn.dimension import (graph_spectral_radius, perron_vector, solve_exponent,
                               spectral_radius, weight_matrix)
-from cxcdyn.graphs import make_graph
+from cxcdyn.graphs import make_graph, validate_graph
 
 
 def test_weight_matrix_entries(two_loops):
@@ -35,6 +38,30 @@ def test_radius_agrees_with_dense_eigensolver():
         assert ours == pytest.approx(reference, abs=1e-9)
 
 
+@pytest.mark.parametrize("matrix", [
+    [[1.0, 0.0], [0.0, 0.5]],
+    [[1.0, 0.5], [0.0, 0.0]],  # thurston_matrix(2, [[(0, 2), (0, 2)], [(0, 2)]])
+    [[0.5, 1.0, 0.0], [0.0, 0.25, 0.0], [0.0, 1.0, 1.0]],
+])
+def test_radius_of_reducible_matrix(matrix):
+    # the Collatz-Wielandt bounds of a positive vector do not meet here; the
+    # lower bound over the non-decayed support does
+    reference = max(abs(np.linalg.eigvals(np.array(matrix))))
+    assert spectral_radius(np.array(matrix)).radius == pytest.approx(reference, abs=1e-12)
+
+
+def test_radius_with_tied_row_sums():
+    # rows 1 and 2 tie for the largest row sum and row 2 points only at row 1,
+    # so successive sup-norm estimates agree after one step, far from the radius
+    g = make_graph(3, [(1, 3, 4), (1, 3, 5), (2, 1, 4), (2, 1, 4), (3, 2, 4), (3, 2, 4)])
+    matrix = weight_matrix(g, 2.0)
+    reference = max(abs(np.linalg.eigvals(matrix)))
+    assert spectral_radius(matrix).radius == pytest.approx(reference, abs=1e-11)
+    s = solve_exponent(g, "conformal").exponent
+    assert s == pytest.approx(0.487283, abs=1e-6)
+    assert max(abs(np.linalg.eigvals(weight_matrix(g, 1.0 / s)))) == pytest.approx(1.0, abs=1e-8)
+
+
 def test_radius_rejects_reducible():
     g = make_graph(2, [(1, 2, 3)])
     with pytest.raises(ValueError, match="irreducible"):
@@ -49,6 +76,27 @@ def test_solve_conformal(two_loops, two_loops_d4):
 def test_solve_hausdorff(two_loops):
     result = solve_exponent(two_loops, "hausdorff", alpha=0.5)
     assert result.exponent == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_solve_doubled_complete_digraph(n):
+    # every ordered pair joined by two edges of degree 4: 2(n-1) 4^-s = 1
+    edges = [(i, j, 4) for i in range(1, n + 1) for j in range(1, n + 1) if i != j] * 2
+    s = solve_exponent(make_graph(n, edges), "conformal").exponent
+    assert s == pytest.approx(math.log(2 * (n - 1)) / math.log(4), abs=1e-9)
+
+
+def test_solve_validates_once(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return validate_graph(g)
+
+    monkeypatch.setattr(cxcdyn.dimension, "validate_graph", counting)
+    g = make_graph(2, [(1, 2, 2), (1, 2, 3), (2, 1, 5), (2, 1, 5), (2, 2, 3), (2, 2, 3)])
+    result = solve_exponent(g, "conformal")
+    assert result.evaluations > 30 and len(calls) == 1
 
 
 def test_bracket_straddles_radius_one(two_loops):

@@ -1,26 +1,26 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cxcdyn.graphs import (CycleCapExceeded, GraphParseError, WeightedDigraph,
-                           make_graph, parse_graph, serialize_graph, simple_cycles,
-                           validate_graph)
+from cxcdyn.graphs import (GraphParseError, WeightedDigraph, make_graph, parse_graph,
+                           serialize_graph, validate_graph)
 
 
 # --- independent oracle: check the cycle conditions on ALL closed walks up to
 # length 2n, not just simple cycles -----------------------------------------
 
+def violates(g: WeightedDigraph, cycle_edges) -> bool:
+    product = 1
+    multi = False
+    for k in cycle_edges:
+        e = g.edges[k]
+        product *= e.degree
+        if g.multiplicity(e.src, e.dst) >= 2:
+            multi = True
+    return product <= 1 or not multi
+
+
 def closed_walks_pass(g: WeightedDigraph, max_len: int) -> bool:
     adjacency = {v: g.out_edges(v) for v in range(1, g.vertex_count + 1)}
-
-    def fails(cycle_edges) -> bool:
-        product = 1
-        multi = False
-        for k in cycle_edges:
-            e = g.edges[k]
-            product *= e.degree
-            if g.multiplicity(e.src, e.dst) >= 2:
-                multi = True
-        return product <= 1 or not multi
 
     for start in range(1, g.vertex_count + 1):
         stack = [(start, [])]
@@ -29,26 +29,56 @@ def closed_walks_pass(g: WeightedDigraph, max_len: int) -> bool:
             if len(path) >= max_len:
                 continue
             for k, e in adjacency[v]:
-                if e.dst == start and fails(path + [k]):
+                if e.dst == start and violates(g, path + [k]):
                     return False
                 if len(path) + 1 < max_len:
                     stack.append((e.dst, path + [k]))
     return True
 
 
+def strongly_connected(g: WeightedDigraph) -> bool:
+    """Transitive closure by Floyd-Warshall: every ordered pair joined."""
+    vertices = range(1, g.vertex_count + 1)
+    reach = {(i, j): i == j for i in vertices for j in vertices}
+    for e in g.edges:
+        reach[e.src, e.dst] = True
+    for k in vertices:
+        for i in vertices:
+            for j in vertices:
+                reach[i, j] = reach[i, j] or (reach[i, k] and reach[k, j])
+    return all(reach.values())
+
+
+# at most 5 edges keep the oracle's exhaustive walk search (length <= 8 on
+# 4 vertices) short
 graphs = st.builds(
     lambda n, raw: make_graph(n, [(min(s, n), min(d, n), w) for s, d, w in raw]),
-    st.integers(1, 3),
-    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    st.integers(1, 4),
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
              max_size=5),
 )
 
 
-@settings(max_examples=150, deadline=None)
+def assert_simple_violating_cycle(g: WeightedDigraph, cycle) -> None:
+    edges = [g.edges[k] for k in cycle]
+    assert edges, "empty witness"
+    for e, nxt in zip(edges, edges[1:] + edges[:1]):
+        assert e.dst == nxt.src, "witness edges do not chain"
+    vertices = [e.src for e in edges]
+    assert len(set(vertices)) == len(vertices), "witness repeats a vertex"
+    assert violates(g, cycle)
+
+
+@settings(max_examples=200, deadline=None)
 @given(graphs)
 def test_cycle_check_agrees_with_closed_walk_oracle(g):
     report = validate_graph(g)
+    assert report.irreducible == strongly_connected(g)
     assert (report.levy_witness is None) == closed_walks_pass(g, 2 * g.vertex_count)
+    if report.levy_witness is None:
+        assert report.cycles_checked == 2 * len(g.edges)
+    else:
+        assert_simple_violating_cycle(g, report.levy_witness)
 
 
 @settings(max_examples=100, deadline=None)
@@ -87,13 +117,14 @@ def test_parse_comments_and_blank_lines():
 def test_validate_two_loops_ok(two_loops):
     report = validate_graph(two_loops)
     assert report.irreducible and report.levy_witness is None
-    assert report.cycles_checked == 2
+    assert report.cycles_checked == 4  # each search scans both loops once
 
 
 def test_validate_single_loop_witness():
     report = validate_graph(make_graph(1, [(1, 1, 2)]))
     assert report.irreducible
     assert report.levy_witness == (0,)  # parallel-edge condition fails
+    assert report.cycles_checked == 2  # one scan per search; the second stops at the loop
 
 
 def test_validate_not_irreducible():
@@ -106,16 +137,6 @@ def test_product_condition_witness():
     g = make_graph(2, [(1, 2, 1), (1, 2, 1), (2, 1, 1), (2, 1, 1)])
     report = validate_graph(g)
     assert report.levy_witness is not None
-
-
-def test_simple_cycles_enumeration(two_loops):
-    assert sorted(simple_cycles(two_loops)) == [(0,), (1,)]
-
-
-def test_cycle_cap():
-    g = make_graph(1, [(1, 1, 2)] * 10)
-    with pytest.raises(CycleCapExceeded):
-        list(simple_cycles(g, cap=5))
 
 
 def test_invalid_graphs_rejected():
