@@ -23,7 +23,7 @@ from .pillowcase import (differential_report, obstruction_report, orb_point,
                          skeleton_forward_invariance)
 from .verify import (build_covers, degree_report, dendrite_adapter, distortion_report,
                      eventually_onto_check, gdms_adapter, menger_adapter,
-                     pillowcase_adapter, roundness, visual_metric_check)
+                     pillowcase_adapter, roundness_bound, visual_metric_check)
 
 
 def _jsonable(value: Any) -> Any:
@@ -296,12 +296,7 @@ def _cmd_verify(args) -> int:
         sys_ = gdms.build_interval_system(g, float(args.alpha))
         adapter = gdms_adapter(sys_, snowflaked=args.snowflaked)
         covers = build_covers(adapter, args.depth)
-        rng = np.random.default_rng(args.seed)
-        round_max = 1.0
-        for level in covers.levels:
-            for element in level[:200]:
-                round_max = max(round_max, roundness(adapter, element.payload,
-                                                     adapter.basepoint(element.payload), rng))
+        round_max = roundness_bound(covers, 0, 200, np.random.default_rng(args.seed))
         word3 = None
         level3 = [e for e in covers.levels[min(3, covers.depth)]]
         if level3:

@@ -164,6 +164,26 @@ class Cylinder:
         return len(self.word)
 
 
+def base_cylinder(sys: IntervalSystem, vertex: int) -> Cylinder:
+    """The depth-0 cylinder: the whole base interval of ``vertex``."""
+    base = sys.base(vertex)
+    return Cylinder(word=(), component=vertex, terminal=vertex,
+                    left=base.left, length=base.length)
+
+
+def edge_path(sys: IntervalSystem, word: Sequence[int]) -> list[Branch]:
+    """The branches along an edge-index word; error unless it is an admissible path."""
+    # branches are sorted by edge index, so position k holds edge k
+    bad = [k for k in word if not 0 <= k < len(sys.branches)]
+    if bad:
+        raise ValueError(f"edge index {bad[0]} is outside 0..{len(sys.branches) - 1}")
+    edges = [sys.branches[k] for k in word]
+    for first, second in zip(edges, edges[1:]):
+        if first.dst != second.src:
+            raise ValueError("word is not an admissible edge path")
+    return edges
+
+
 def pull_back(sys: IntervalSystem, b: Branch, cyl: Cylinder) -> Cylinder:
     # inverse branch of the map over edge b applied to a cylinder in base(dst)
     source = sys.base(b.dst)
@@ -185,8 +205,7 @@ def repellor_cover(sys: IntervalSystem, depth: int) -> list[Cylinder]:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    cover = [Cylinder(word=(), component=b.vertex, terminal=b.vertex,
-                      left=b.left, length=b.length) for b in sys.bases]
+    cover = [base_cylinder(sys, b.vertex) for b in sys.bases]
     for _ in range(depth):
         # prepend every edge that ends where the cylinder currently starts
         cover = [pull_back(sys, b, cyl)
@@ -199,15 +218,8 @@ def cylinder_from_word(sys: IntervalSystem, word: Sequence[int]) -> Cylinder:
     """Build the cylinder for an explicit admissible edge-index word."""
     if not word:
         raise ValueError("use repellor_cover(sys, 0) for the base intervals")
-    by_index = {b.edge_index: b for b in sys.branches}
-    edges = [by_index[k] for k in word]
-    for first, second in zip(edges, edges[1:]):
-        if first.dst != second.src:
-            raise ValueError("word is not an admissible edge path")
-    last = edges[-1]
-    base = sys.base(last.dst)
-    cyl = Cylinder(word=(), component=last.dst, terminal=last.dst,
-                   left=base.left, length=base.length)
+    edges = edge_path(sys, word)
+    cyl = base_cylinder(sys, edges[-1].dst)
     for b in reversed(edges):
         cyl = pull_back(sys, b, cyl)
     return cyl

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (Mat, RatLike, check_parameter, corner_pieces, mat_inv, mat_vec,
+from .core import (HALF, Mat, RatLike, check_parameter, corner_pieces, mat_inv, mat_vec,
                    orb_point, pillow_map, point_in_triangle)
 
 Point = tuple[Fraction, Fraction]
 Segment = tuple[Point, Point]
-
-HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ the circle part by d(e) as long as the circle distance stays below
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .gdms import GDMSPoint, IntervalSystem, apply_map, distance, locate_branch, repellor_cover
+from .gdms import (GDMSPoint, IntervalSystem, apply_map, base_cylinder, distance, edge_path,
+                   locate_branch, pull_back, repellor_cover)
 
 
 @dataclass(frozen=True)
@@ -44,29 +45,22 @@ def skew_distance(sys: IntervalSystem, p: SkewPoint, q: SkewPoint) -> float:
     return distance(sys, p.base, q.base, snowflaked=True) + circle_distance(p.angle, q.angle)
 
 
-def periodic_base_point(sys: IntervalSystem, word: Sequence[int], rounds: int = 60) -> GDMSPoint:
+def periodic_base_point(sys: IntervalSystem, word: Sequence[int]) -> GDMSPoint:
     """Point whose itinerary repeats the given admissible edge cycle.
 
-    Iterating the composed inverse branches contracts onto the unique fixed
-    point; ``rounds`` passes push the error below double precision.
+    Pulling back through the composed inverse branches contracts onto the
+    unique fixed point; 60 passes push the error below double precision.
     """
-    by_index = {b.edge_index: b for b in sys.branches}
-    cycle = [by_index[k] for k in word]
-    for first, second in zip(cycle, cycle[1:]):
-        if first.dst != second.src:
-            raise ValueError("word is not an admissible edge path")
-    if cycle[-1].dst != cycle[0].src:
+    cycle = edge_path(sys, word)
+    if not cycle or cycle[-1].dst != cycle[0].src:
         raise ValueError("word does not close up into a cycle")
-    x = sys.base(cycle[0].src).left + 0.5 * sys.base(cycle[0].src).length
-    for _ in range(rounds):
+    cyl = base_cylinder(sys, cycle[0].src)
+    # the zero-length cylinder at the midpoint is a point that pull_back moves
+    cyl = replace(cyl, left=cyl.left + 0.5 * cyl.length, length=0.0)
+    for _ in range(60):
         for b in reversed(cycle):
-            source = sys.base(b.dst)
-            ratio = sys.expansion_ratio(b)
-            if b.orientation > 0:
-                x = b.left + (x - source.left) / ratio
-            else:
-                x = b.left + (source.right - x) / ratio
-    return GDMSPoint(component=cycle[0].src, coordinate=x)
+            cyl = pull_back(sys, b, cyl)
+    return GDMSPoint(component=cycle[0].src, coordinate=cyl.left)
 
 
 def some_edge_cycle(sys: IntervalSystem) -> list[int]:

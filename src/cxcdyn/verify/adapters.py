@@ -18,13 +18,32 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..gdms import (Cylinder, GDMSPoint, IntervalSystem, apply_map,
-                    cylinder_from_word, distance, pull_back)
+from ..gdms import (Cylinder, GDMSPoint, IntervalSystem, apply_map, base_cylinder,
+                    cylinder_from_word, distance, edge_path, pull_back)
 from ..menger import MengerParams, expanding_map
 from ..pillowcase.core import OrbPoint, check_parameter, orb_distance, orb_point, \
     pillow_map, preimages
 from ..skew import SkewPoint, skew_distance, skew_map
 from .core import Adapter
+
+
+def _flood_components(cells, neighbors) -> list[frozenset]:
+    """Connected components of a cell set under a neighbor function."""
+    remaining = set(cells)
+    components = []
+    while remaining:
+        seed = remaining.pop()
+        bucket = {seed}
+        frontier = [seed]
+        while frontier:
+            cell = frontier.pop()
+            for nb in neighbors(cell):
+                if nb in remaining:
+                    remaining.discard(nb)
+                    bucket.add(nb)
+                    frontier.append(nb)
+        components.append(frozenset(bucket))
+    return components
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +56,7 @@ def gdms_adapter(sys: IntervalSystem, snowflaked: bool = False) -> Adapter:
         return value ** alpha if snowflaked else value
 
     def initial() -> list[Cylinder]:
-        return [Cylinder(word=(), component=b.vertex, terminal=b.vertex,
-                         left=b.left, length=b.length) for b in sys.bases]
+        return [base_cylinder(sys, b.vertex) for b in sys.bases]
 
     def components(cyl: Cylinder) -> list[tuple[Cylinder, int]]:
         return [(pull_back(sys, b, cyl), 1)
@@ -49,19 +67,10 @@ def gdms_adapter(sys: IntervalSystem, snowflaked: bool = False) -> Adapter:
                 for i in range(k)]
 
     def forward(cyl: Cylinder) -> list[Cylinder]:
-        if cyl.word:
-            word = cyl.word[1:]
-            if word:
-                return [cylinder_from_word(sys, word)]
-            base = sys.base(sys.branches[cyl.word[0]].dst)
-            return [Cylinder(word=(), component=base.vertex, terminal=base.vertex,
-                             left=base.left, length=base.length)]
-        out = []
-        for b in sys.branches_from(cyl.component):
-            base = sys.base(b.dst)
-            out.append(Cylinder(word=(), component=base.vertex, terminal=base.vertex,
-                                left=base.left, length=base.length))
-        return out
+        if len(cyl.word) > 1:
+            return [cylinder_from_word(sys, cyl.word[1:])]
+        leading = edge_path(sys, cyl.word) or sys.branches_from(cyl.component)
+        return [base_cylinder(sys, b.dst) for b in leading]
 
     return Adapter(
         name=f"gdms(alpha={alpha}{', snowflaked' if snowflaked else ''})",
@@ -101,13 +110,8 @@ def skew_adapter(sys: IntervalSystem, arcs0: Optional[int] = None) -> Adapter:
         arcs0 = 2 * max_degree + 1  # initial arc extent below 1/(2 max degree)
 
     def initial() -> list[SkewCell]:
-        cells = []
-        for b in sys.bases:
-            cyl = Cylinder(word=(), component=b.vertex, terminal=b.vertex,
-                           left=b.left, length=b.length)
-            for i in range(arcs0):
-                cells.append(SkewCell(cyl, i / arcs0, 1.0 / arcs0))
-        return cells
+        return [SkewCell(base_cylinder(sys, b.vertex), i / arcs0, 1.0 / arcs0)
+                for b in sys.bases for i in range(arcs0)]
 
     def components(cell: SkewCell) -> list[tuple[SkewCell, int]]:
         out = []
@@ -284,27 +288,8 @@ class _PillowGrid:
         return cell[0] * self.ny + cell[1]
 
 
-def _grid_components(grid: _PillowGrid, cells: set[Cell]) -> list[frozenset[Cell]]:
-    remaining = set(cells)
-    components = []
-    while remaining:
-        seed = remaining.pop()
-        bucket = {seed}
-        frontier = [seed]
-        while frontier:
-            cell = frontier.pop()
-            for nb in grid.neighbors(cell):
-                if nb in remaining:
-                    remaining.discard(nb)
-                    bucket.add(nb)
-                    frontier.append(nb)
-        components.append(frozenset(bucket))
-    return components
-
-
 def pillowcase_adapter(a, resolution: int = 10, cover: str = "faces",
-                       disk_radius: float = 0.15,
-                       disk_centers: Optional[Sequence[OrbPoint]] = None) -> Adapter:
+                       disk_radius: float = 0.15) -> Adapter:
     """Rasterized adapter; resolution is the dyadic exponent of the grid.
 
     Components are flood-filled on the grid (components meeting only at a
@@ -320,16 +305,15 @@ def pillowcase_adapter(a, resolution: int = 10, cover: str = "faces",
             back = frozenset((i, j) for i in range(grid.nx) for j in range(mid))
             return [front, back]
         if cover == "disks":
-            centers = disk_centers
-            if centers is None:
-                centers = [orb_point(Fraction(ix, 8), Fraction(jy, 8))
-                           for ix in range(5) for jy in range(-3, 5)]
+            # centers on the (1/8)-lattice of the fundamental rectangle
+            centers = [orb_point(Fraction(ix, 8), Fraction(jy, 8))
+                       for ix in range(5) for jy in range(-3, 5)]
             payloads = []
             for c in centers:
                 cells = {(i, j) for i in range(grid.nx) for j in range(grid.ny)
                          if orb_distance(grid.center((i, j)), c) <= disk_radius}
                 if cells:
-                    payloads.extend(_grid_components(grid, cells))
+                    payloads.extend(_flood_components(cells, grid.neighbors))
             return payloads
         raise ValueError("cover must be 'faces' or 'disks'")
 
@@ -338,7 +322,7 @@ def pillowcase_adapter(a, resolution: int = 10, cover: str = "faces",
                             count=len(payload))
         mask = np.isin(grid.image_map, flats)
         cells = {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))}
-        comps = _grid_components(grid, cells)
+        comps = _flood_components(cells, grid.neighbors)
         if not comps:
             return []
         degrees = _fiber_degrees(grid, payload, comps)
@@ -436,9 +420,10 @@ def menger_adapter(params: MengerParams) -> Adapter:
         return [CubeCells(1, frozenset({cell}))
                 for cell in itertools.product(range(3), repeat=k)]
 
-    def _image_coord(c: int, scale: int) -> int:
-        q, r = divmod(c, scale)
-        return r if q != 1 else scale - 1 - r
+    steps = [(axis, delta) for axis in range(k) for delta in (-1, 1)]
+
+    def neighbors(cell: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return [cell[:axis] + (cell[axis] + delta,) + cell[axis + 1:] for axis, delta in steps]
 
     def components(payload: CubeCells) -> list[tuple[CubeCells, int]]:
         scale = 3 ** payload.level
@@ -446,22 +431,7 @@ def menger_adapter(params: MengerParams) -> Adapter:
         for cell in payload.cells:
             options = [(c, 2 * scale - 1 - c, 2 * scale + c) for c in cell]
             pre.update(itertools.product(*options))
-        comps = []
-        remaining = set(pre)
-        while remaining:
-            seed = remaining.pop()
-            bucket = {seed}
-            frontier = [seed]
-            while frontier:
-                cell = frontier.pop()
-                for axis in range(k):
-                    for delta in (-1, 1):
-                        nb = cell[:axis] + (cell[axis] + delta,) + cell[axis + 1:]
-                        if nb in remaining:
-                            remaining.discard(nb)
-                            bucket.add(nb)
-                            frontier.append(nb)
-            comps.append(frozenset(bucket))
+        comps = _flood_components(pre, neighbors)
         target = next(iter(payload.cells))
         y = center(payload.level, target)
         fiber = list(itertools.product(*[(c / 3.0, (2.0 - c) / 3.0, (2.0 + c) / 3.0)
@@ -495,13 +465,8 @@ def menger_adapter(params: MengerParams) -> Adapter:
 
     def dtc(payload: CubeCells, p: Sequence[float]) -> float:
         scale = 3 ** payload.level
-        ring = set()
-        for cell in payload.cells:
-            for axis in range(k):
-                for delta in (-1, 1):
-                    nb = cell[:axis] + (cell[axis] + delta,) + cell[axis + 1:]
-                    if 0 <= nb[axis] < scale and nb not in payload.cells:
-                        ring.add(nb)
+        ring = {nb for cell in payload.cells for nb in neighbors(cell)
+                if 0 <= min(nb) and max(nb) < scale and nb not in payload.cells}
         if not ring:
             return float("inf")
         nearest = min(sup_metric(p, center(payload.level, c)) for c in ring)

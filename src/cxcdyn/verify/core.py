@@ -141,6 +141,24 @@ def roundness(adapter: Adapter, payload: Any, basepoint: Any,
     return big / small
 
 
+def roundness_bound(covers: CoverSequence, min_level: int, element_cap: int,
+                    rng: np.random.Generator) -> float:
+    """Largest roundness about the basepoint (at least 1) over the first
+    ``element_cap`` elements of each level from ``min_level`` on; elements
+    whose basepoint is not interior are skipped."""
+    adapter = covers.adapter
+    worst = 1.0
+    for level in covers.levels[min_level:]:
+        for element in level[:element_cap]:
+            try:
+                value = roundness(adapter, element.payload,
+                                  adapter.basepoint(element.payload), rng)
+            except ValueError:
+                continue
+            worst = max(worst, value)
+    return worst
+
+
 @dataclass
 class DistortionReport:
     roundness_pairs: list[tuple[int, int, float, float]]  # (n, k, down, up)
@@ -303,7 +321,6 @@ def visual_metric_check(covers: CoverSequence, min_level: int = 2,
     roundness bound is evidence (not proof) that the metric is of visual
     type for this system.
     """
-    adapter = covers.adapter
     rng = np.random.default_rng(seed)
     ns, logs = [], []
     for level in covers.levels[min_level:]:
@@ -317,17 +334,9 @@ def visual_metric_check(covers: CoverSequence, min_level: int = 2,
     eps = -float(slope)
     residuals = [lg - (slope * n + intercept) for n, lg in zip(ns, logs)]
     spread = math.exp(max(residuals) - min(residuals))
-    worst_round = 1.0
-    for level in covers.levels[min_level:]:
-        for element in level[:element_cap]:
-            try:
-                value = roundness(adapter, element.payload,
-                                  adapter.basepoint(element.payload), rng)
-            except ValueError:
-                continue
-            worst_round = max(worst_round, value)
     return VisualMetricReport(fitted_epsilon=eps, spread=spread,
-                              roundness_bound=worst_round,
+                              roundness_bound=roundness_bound(covers, min_level,
+                                                              element_cap, rng),
                               levels_used=(min_level, covers.depth),
                               verdict=bool(spread <= spread_bound))
 

@@ -89,6 +89,13 @@ def test_cylinder_from_word(standard_system):
             2, [(1, 2, 4), (2, 1, 4)]), 0.5), (0, 0))
 
 
+@pytest.mark.parametrize("word", [[99], [-1], [0, 2]], ids=["99", "minus1", "0.2"])
+def test_cylinder_from_word_rejects_unknown_edge(standard_system, word):
+    # a domain error, not a KeyError; -1 must not wrap to the last branch
+    with pytest.raises(ValueError, match="outside 0..1"):
+        cylinder_from_word(standard_system, word)
+
+
 def test_distance_cases(standard_system):
     p = GDMSPoint(1, 0.25)
     assert distance(standard_system, p, p) == 0.0

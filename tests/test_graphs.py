@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,19 +10,25 @@ from cxcdyn.graphs import (GraphParseError, WeightedDigraph, make_graph, parse_g
 # --- independent oracle: check the cycle conditions on ALL closed walks up to
 # length 2n, not just simple cycles -----------------------------------------
 
-def violates(g: WeightedDigraph, cycle_edges) -> bool:
+def arc_multiplicities(g: WeightedDigraph) -> Counter:
+    """Parallel-edge count per arc (i, j), built once per graph."""
+    return Counter((e.src, e.dst) for e in g.edges)
+
+
+def violates(g: WeightedDigraph, cycle_edges, multiplicity: Counter) -> bool:
     product = 1
     multi = False
     for k in cycle_edges:
         e = g.edges[k]
         product *= e.degree
-        if g.multiplicity(e.src, e.dst) >= 2:
+        if multiplicity[e.src, e.dst] >= 2:
             multi = True
     return product <= 1 or not multi
 
 
 def closed_walks_pass(g: WeightedDigraph, max_len: int) -> bool:
     adjacency = {v: g.out_edges(v) for v in range(1, g.vertex_count + 1)}
+    multiplicity = arc_multiplicities(g)
 
     for start in range(1, g.vertex_count + 1):
         stack = [(start, [])]
@@ -29,7 +37,7 @@ def closed_walks_pass(g: WeightedDigraph, max_len: int) -> bool:
             if len(path) >= max_len:
                 continue
             for k, e in adjacency[v]:
-                if e.dst == start and violates(g, path + [k]):
+                if e.dst == start and violates(g, path + [k], multiplicity):
                     return False
                 if len(path) + 1 < max_len:
                     stack.append((e.dst, path + [k]))
@@ -66,7 +74,7 @@ def assert_simple_violating_cycle(g: WeightedDigraph, cycle) -> None:
         assert e.dst == nxt.src, "witness edges do not chain"
     vertices = [e.src for e in edges]
     assert len(set(vertices)) == len(vertices), "witness repeats a vertex"
-    assert violates(g, cycle)
+    assert violates(g, cycle, arc_multiplicities(g))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
-from cxcdyn.gdms import GDMSPoint
+from cxcdyn.gdms import GDMSPoint, apply_map, build_interval_system, locate_branch
+from cxcdyn.graphs import make_graph
 from cxcdyn.skew import (SkewPoint, circle_distance, orbit, periodic_base_point,
                          scaling_deviation, skew_box_dimension, skew_distance,
                          skew_map)
@@ -86,3 +89,31 @@ def test_some_edge_cycle_multivertex(alternating):
     assert len(cycle) == 2  # the only cycles alternate between the vertices
     base = periodic_base_point(sys2, cycle)
     assert len(orbit(sys2, SkewPoint(base, 0.25), 16)) == 17
+
+
+def signs(orientations):
+    return "".join("+" if o > 0 else "-" for o in orientations)
+
+
+TWO_VERTEX = make_graph(2, [(1, 1, 2), (1, 2, 3), (2, 1, 2), (2, 1, 5)])
+PERIODIC_CASES = (
+    [pytest.param(make_graph(1, [(1, 1, 2), (1, 1, 2)]), orientations,
+                  [[0], [1], [0, 1], [1, 1, 0]], id="two_loops" + signs(orientations))
+     for orientations in ([1, -1], [-1, -1])]
+    + [pytest.param(TWO_VERTEX, list(orientations), [[0], [1, 2], [1, 3], [0, 1, 3], [3, 0, 1]],
+                    id="two_vertex" + signs(orientations))
+       for orientations in itertools.product((1, -1), repeat=4)])
+
+
+@pytest.mark.parametrize("graph, orientations, cycles", PERIODIC_CASES)
+def test_periodic_point_returns_along_its_cycle(graph, orientations, cycles):
+    # covers the orientation-reversing inverse branch of the pull-back
+    sys_ = build_interval_system(graph, 0.5, orientations=orientations)
+    for cycle in cycles:
+        start = periodic_base_point(sys_, cycle)
+        p = start
+        for k in cycle:
+            assert locate_branch(sys_, p).edge_index == k
+            p = apply_map(sys_, p)
+        assert p.component == start.component
+        assert abs(p.coordinate - start.coordinate) <= 1e-12

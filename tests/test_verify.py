@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cxcdyn.verify import (Adapter, build_covers, degree_report, dendrite_adapte
                            distortion_report, eventually_onto_check, gdms_adapter,
                            menger_adapter, pillowcase_adapter, roundness,
                            skew_adapter, snowflake_fit, visual_metric_check)
+from cxcdyn.verify.adapters import _PillowGrid, _flood_components
 
 
 # --- refine / mesh ----------------------------------------------------------
@@ -268,3 +270,33 @@ def test_gdms_similarities_preserve_roundness(standard_system):
         assert up == pytest.approx(down, rel=1e-9)  # affine branches preserve roundness
     for _, _, _, down, up in report.diam_pairs:
         assert 0.0 < down <= 1.0 + 1e-12 and 0.0 < up <= 1.0 + 1e-12
+
+
+# --- flood fill -------------------------------------------------------------
+
+def axis_neighbors(cell):
+    return [cell[:axis] + (cell[axis] + delta,) + cell[axis + 1:]
+            for axis in range(len(cell)) for delta in (-1, 1)]
+
+
+def test_flood_components_joins_across_pillow_seam():
+    grid = _PillowGrid(Fraction(1, 8), 3)
+    top = grid.ny - 1
+    comps = _flood_components({(1, 0), (1, 1), (1, top), (1, top - 1)}, grid.neighbors)
+    assert comps == [frozenset({(1, 0), (1, 1), (1, top), (1, top - 1)})]
+
+
+def test_flood_components_diagonal_cells_stay_apart():
+    comps = _flood_components({(0, 0, 0), (1, 1, 0)}, axis_neighbors)
+    assert sorted(comps, key=min) == [frozenset({(0, 0, 0)}), frozenset({(1, 1, 0)})]
+
+
+def test_flood_components_partition_the_input():
+    rng = np.random.default_rng(4)
+    cells = {tuple(int(c) for c in row) for row in rng.integers(0, 6, size=(80, 3))}
+    comps = _flood_components(cells, axis_neighbors)
+    assert sum(len(c) for c in comps) == len(cells)
+    assert frozenset().union(*comps) == cells
+    for comp in comps:
+        others = cells - comp
+        assert not any(nb in others for cell in comp for nb in axis_neighbors(cell))
