@@ -8,7 +8,7 @@ product's expansion certificate.  Run from the repository root:
 """
 
 from cxcdyn.dimension import graph_spectral_radius, perron_vector, solve_exponent
-from cxcdyn.gdms import box_dimension, build_interval_system, repellor_cover
+from cxcdyn.gdms import box_dimension, build_interval_system, cover_counts
 from cxcdyn.graphs import make_graph, validate_graph
 from cxcdyn.skew import scaling_deviation, skew_box_dimension
 
@@ -36,9 +36,8 @@ def main():
               f"ratio {system.expansion_ratio(b):.1f}")
 
     print("\ndepth  cylinders  mesh")
-    for depth in range(7):
-        cover = repellor_cover(system, depth)
-        print(f"{depth:5d}  {len(cover):9d}  {max(c.length for c in cover):.8f}")
+    for depth, (cylinders, mesh) in cover_counts(system, range(7)).items():
+        print(f"{depth:5d}  {cylinders:9d}  {mesh:.8f}")
 
     print(f"\nbox dimension (flat metric)      = {box_dimension(system):.4f}")
     print(f"box dimension (snowflaked)       = {box_dimension(system, snowflaked=True):.4f}")

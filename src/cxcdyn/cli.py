@@ -115,16 +115,16 @@ def _cmd_gdms(args) -> int:
         snow = gdms.box_dimension(sys_, snowflaked=True)
         _emit({"alpha": float(args.alpha), "boxdim_plain": plain, "boxdim_snowflaked": snow})
         return 0
-    cover = gdms.repellor_cover(sys_, args.depth)
+    cylinders, mesh = gdms.cover_counts(sys_, [args.depth])[args.depth]
     if args.out and args.out.endswith(".svg"):
         _write(args.out, render.cover_strip_svg(sys_, args.depth))
     elif args.out:
         with open(args.out, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["word", "left", "right", "length"])
-            writer.writerows(gdms.cover_rows(cover))
-    _emit({"alpha": float(args.alpha), "depth": args.depth, "cylinders": len(cover),
-           "mesh": max(c.length for c in cover), "out": args.out})
+            writer.writerows(gdms.cover_rows(gdms.repellor_cover(sys_, args.depth)))
+    _emit({"alpha": float(args.alpha), "depth": args.depth, "cylinders": cylinders,
+           "mesh": mesh, "out": args.out})
     return 0
 
 

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gdms import (GDMSPoint, IntervalSystem, apply_map, base_cylinder, distance, edge_path,
-                   locate_branch, pull_back, repellor_cover)
+from .gdms import (GDMSPoint, IntervalSystem, apply_map, base_cylinder, cover_counts, distance,
+                   edge_path, locate_branch, pull_back)
 
 
 @dataclass(frozen=True)
@@ -96,17 +96,16 @@ def orbit(sys: IntervalSystem, start: SkewPoint, steps: int) -> list[SkewPoint]:
 def skew_box_dimension(sys: IntervalSystem, depths: Sequence[int] = tuple(range(2, 9))) -> float:
     """Box-counting slope for the product repellor (Cantor set times circle).
 
-    Covers are cylinders crossed with arcs of comparable snowflaked extent,
-    so a depth with mesh L contributes count(cylinders) * ceil(1/L) boxes of
-    diameter about 2L.
+    Covers are cylinders crossed with arcs of comparable snowflaked extent:
+    a depth with mesh L gives count * ceil(1/L) boxes of diameter about 2L,
+    with count and mesh from ``cover_counts`` (exact, O(m * V * E)).
     """
+    counts = cover_counts(sys, depths)
     xs, ys = [], []
     for m in depths:
-        cover = repellor_cover(sys, m)
-        mesh = max(c.length for c in cover) ** sys.alpha
-        arcs = int(math.ceil(1.0 / mesh))
+        mesh = counts[m][1] ** sys.alpha
         xs.append(-math.log(2.0 * mesh))
-        ys.append(math.log(len(cover) * arcs))
+        ys.append(math.log(counts[m][0] * math.ceil(1.0 / mesh)))
     return float(np.polyfit(xs, ys, 1)[0])
 
 

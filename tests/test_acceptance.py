@@ -180,6 +180,6 @@ def test_criterion_12_box_dimensions():
     system = build_interval_system(two, 0.5)
     plain = box_dimension(system)
     snow = box_dimension(system, snowflaked=True)
-    assert abs(plain - 0.5) <= 0.05
-    assert abs(snow - 1.0) <= 0.1
+    assert abs(plain - 0.5) <= 1e-9
+    assert abs(snow - 1.0) <= 1e-9
     report(12, f"box dimension {plain:.4f} (target 0.5) plain, {snow:.4f} (target 1.0) snowflaked")

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cxcdyn.gdms import (GDMSPoint, apply_map, box_dimension, build_interval_system,
-                         cover_rows, cylinder_from_word, distance, repellor_cover)
+                         cover_counts, cover_rows, cylinder_from_word, distance,
+                         repellor_cover)
 from cxcdyn.graphs import make_graph
 
 
@@ -63,6 +67,38 @@ def test_cover_counts_and_lengths(standard_system):
     cover2 = repellor_cover(standard_system, 2)
     assert len(cover2) == 4
     assert {c.length for c in cover2} == {1 / 16}
+
+
+@st.composite
+def small_systems(draw):
+    """Irreducible graphs on 1-3 vertices (a spanning cycle plus extra edges),
+    degrees 2-5, random orientations and alpha; None when the embedding fails."""
+    n = draw(st.integers(1, 3))
+    degrees = st.integers(2, 5)
+    edges = [(v, v % n + 1, draw(degrees)) for v in range(1, n + 1)]
+    vertex = st.integers(1, n)
+    edges += draw(st.lists(st.tuples(vertex, vertex, degrees), min_size=1, max_size=4))
+    orientations = draw(st.lists(st.sampled_from([1, -1]),
+                                 min_size=len(edges), max_size=len(edges)))
+    alpha = draw(st.sampled_from([0.25, 0.5, 0.8]))
+    try:
+        return build_interval_system(make_graph(n, edges), alpha, orientations=orientations)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_systems(), st.integers(0, 5))
+def test_cover_counts_match_enumerated_cover(sys_, m):
+    assume(sys_ is not None)
+    cover = repellor_cover(sys_, m)
+    assert cover_counts(sys_, [m])[m] == (len(cover), max(c.length for c in cover))
+
+
+def test_cover_counts_table(standard_system):
+    assert cover_counts(standard_system, [3, 0, 3]) == {3: (8, 1 / 64), 0: (1, 1.0)}
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        cover_counts(standard_system, [2, -1])
 
 
 def test_cover_alternating_admissibility(alternating):
@@ -148,6 +184,29 @@ def test_box_dimensions(two_loops):
         sys_ = build_interval_system(two_loops, alpha)
         assert box_dimension(sys_) == pytest.approx(delta, abs=0.05)
         assert box_dimension(sys_, snowflaked=True) == pytest.approx(1.0, abs=0.05)
+
+
+FOUR_LOOPS_DEGREE_3 = make_graph(1, [(1, 1, 3)] * 4)
+
+
+@pytest.mark.parametrize("graph, plain, snow", [
+    (make_graph(1, [(1, 1, 2)] * 2), "0x1.0000000000001p-1", "0x1.0000000000001p+0"),
+    (FOUR_LOOPS_DEGREE_3, "0x1.430939835353dp-1", "0x1.430939835353dp+0"),
+], ids=["two_loops", "four_loops_d3"])
+def test_box_dimension_default_depths_pinned(graph, plain, snow):
+    # the enumerated covers gave these fits; the CLI prints them
+    sys_ = build_interval_system(graph, 0.5)
+    assert box_dimension(sys_).hex() == plain
+    assert box_dimension(sys_, snowflaked=True).hex() == snow
+
+
+def test_deep_box_dimension_fits(standard_system):
+    deep = range(30, 41)
+    assert abs(box_dimension(standard_system, depths=deep) - 0.5) <= 1e-9
+    assert abs(box_dimension(standard_system, snowflaked=True, depths=deep) - 1.0) <= 1e-9
+    four = build_interval_system(FOUR_LOOPS_DEGREE_3, 0.5)
+    s = math.log(4) / math.log(3)
+    assert abs(box_dimension(four, snowflaked=True, depths=deep) - s) <= 1e-9
 
 
 def test_cover_rows(standard_system):

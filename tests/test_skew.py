@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -61,6 +62,15 @@ def test_homothety_precondition_is_sharp(standard_system):
 
 def test_product_box_dimension(standard_system):
     assert skew_box_dimension(standard_system) == pytest.approx(2.0, abs=0.1)
+
+
+def test_product_box_dimension_pinned_and_deep(standard_system):
+    four = build_interval_system(make_graph(1, [(1, 1, 3)] * 4), 0.5)
+    # the enumerated covers gave these default-depth fits; the CLI prints them
+    assert skew_box_dimension(standard_system).hex() == "0x1.0000000000001p+1"
+    assert skew_box_dimension(four).hex() == "0x1.2185197062ae3p+1"
+    s = math.log(4) / math.log(3)
+    assert abs(skew_box_dimension(four, depths=range(30, 41)) - (1.0 + s)) <= 1e-9
 
 
 def test_circle_distance():
