@@ -249,7 +249,7 @@ def _cmd_menger(args) -> int:
 
 def _cmd_pillow(args) -> int:
     if args.action == "subdivide":
-        tiling = subdivide(args.a, args.depth)
+        tiling = subdivide(args.a, args.depth, invariance_samples=args.samples)
         if args.out:
             _write(args.out, render.tiling_svg(tiling))
         _emit({"a": args.a, "depth": args.depth, "tiles": tiling.tile_count,
@@ -446,9 +446,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options that only some actions of a subcommand need, as (flag, dest) pairs;
+# a missing one is a usage error, like a missing required option
+_LAMBDA = ("--lambda", "lam")
+_ACTION_NEEDS = {
+    ("ifs", "attractor"): (_LAMBDA,), ("ifs", "overlap"): (_LAMBDA,),
+    ("ifs", "kneading"): (_LAMBDA,), ("ifs", "compare"): (_LAMBDA,),
+    ("menger", "member"): (("--point", "point"),),
+    ("menger", "slice"): (("--out", "out"),),
+    ("pillow", "preimages"): (("--point", "point"),),
+    ("verify", "gdms"): (("--graph", "graph"), ("--alpha", "alpha")),
+}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    action = getattr(args, "action", getattr(args, "system", None))
+    for flag, dest in _ACTION_NEEDS.get((args.command, action), ()):
+        if getattr(args, dest) is None:
+            parser.error(f"{args.command} {action}: the following arguments are "
+                         f"required: {flag}")
     if getattr(args, "samples", None) is None and getattr(args, "command", "") == "pillow":
         defaults = {"subdivide": 256, "obstruct": 64, "diff": 10**4, "invariance": 10**4}
         args.samples = defaults.get(args.action, 256)

@@ -134,7 +134,9 @@ def solve_exponent(g: WeightedDigraph, mode: str = "conformal",
     mode "conformal": the exponent s with radius(1/s) = 1, the Hausdorff
     dimension of the repellor in the snowflaked metric (independent of alpha).
     mode "hausdorff": requires alpha; the exponent delta with
-    radius(alpha/delta) = 1, the dimension in the unsnowflaked metric.
+    radius(alpha/delta) = 1, the dimension in the unsnowflaked metric.  That
+    is delta = alpha * s: one conformal solve to tol / alpha, with the
+    bracket and the trace scaled by alpha, keeps the delta bracket tol wide.
     The solver brackets by doubling and bisects, exploiting that the radius
     is strictly decreasing in the exponent.  The graph is validated once,
     here; the radius evaluations skip the check.
@@ -148,25 +150,23 @@ def solve_exponent(g: WeightedDigraph, mode: str = "conformal",
     if mode == "conformal":
         if alpha is not None:
             raise ValueError("alpha is only meaningful in hausdorff mode")
-        def radius_at(exponent: float) -> float:
-            return spectral_radius(weight_matrix(g, 1.0 / exponent), tol=radius_tol).radius
+        scale = 1.0
     elif mode == "hausdorff":
         if alpha is None or alpha <= 0:
             raise ValueError("hausdorff mode needs a positive alpha")
-        def radius_at(exponent: float) -> float:
-            return spectral_radius(weight_matrix(g, alpha / exponent), tol=radius_tol).radius
+        scale = alpha
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     trace: list[tuple[float, float]] = []
     evaluations = 0
 
-    def evaluate(exponent: float) -> float:
+    def evaluate(s: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        r = radius_at(exponent)
+        r = spectral_radius(weight_matrix(g, 1.0 / s), tol=radius_tol).radius
         if keep_trace:
-            trace.append((exponent, r))
+            trace.append((scale * s, r))
         return r
 
     lo, hi = 1e-3, 1.0
@@ -177,17 +177,17 @@ def solve_exponent(g: WeightedDigraph, mode: str = "conformal",
         hi *= 2.0
         if hi > _BRACKET_LIMIT:
             raise ValueError("no bracket found below exponent 2^20")
-    while hi - lo > tol:
+    while hi - lo > tol / scale:
         mid = 0.5 * (lo + hi)
         if evaluate(mid) >= 1.0:
             lo = mid
         else:
             hi = mid
-    exponent = 0.5 * (lo + hi)
+    exponent = scale * (0.5 * (lo + hi))
     if mode == "hausdorff" and exponent > 1.0 + 2.0 * tol:
         raise ValueError(f"delta = {exponent:.6f} > 1: the chosen alpha has spectral "
                          "radius >= 1; pick alpha with radius below 1")
-    return DimensionResult(exponent=exponent, bracket=(lo, hi), tolerance=tol,
+    return DimensionResult(exponent=exponent, bracket=(scale * lo, scale * hi), tolerance=tol,
                            evaluations=evaluations, mode=mode, alpha=alpha,
                            radius_trace=tuple(trace) if keep_trace else None)
 

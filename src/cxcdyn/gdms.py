@@ -207,11 +207,16 @@ def repellor_cover(sys: IntervalSystem, depth: int) -> list[Cylinder]:
         raise ValueError("depth must be >= 0")
     cover = [base_cylinder(sys, b.vertex) for b in sys.bases]
     for _ in range(depth):
-        # prepend every edge that ends where the cylinder currently starts
-        cover = [pull_back(sys, b, cyl)
-                 for cyl in cover
-                 for b in sys.branches if b.dst == cyl.component]
+        cover = pull_back_cover(sys, cover)
     return cover
+
+
+def pull_back_cover(sys: IntervalSystem, cover: Sequence[Cylinder]) -> list[Cylinder]:
+    """The cover one level deeper: every edge that ends where a cylinder
+    starts, prepended to it, in cover order."""
+    return [pull_back(sys, b, cyl)
+            for cyl in cover
+            for b in sys.branches if b.dst == cyl.component]
 
 
 def cylinder_from_word(sys: IntervalSystem, word: Sequence[int]) -> Cylinder:

@@ -1,11 +1,11 @@
 """Pillowcase orbifold family: exact maps, curve pullback, subdivision tilings."""
 
-from .core import (CONE_POINTS, CRITICAL_POINTS, AffinePiece, DifferentialReport,
-                   OrbPoint, TentOrbit, check_parameter, corner_map, corner_map_inv,
+from .core import (CONE_POINTS, CRITICAL_POINTS, AffinePiece, AffineRegion,
+                   DifferentialReport, OrbPoint, TentOrbit, check_parameter,
                    corner_pieces, critical_values, differential_report, doubling,
                    family_deviation, involution, mat, mat_inv, mat_mul, mat_vec,
                    orb_distance, orb_point, perturbation, pillow_map, postcritical_set,
-                   preimages, singular_values, tent, tent_orbit,
+                   preimages, shuffle_atlas, singular_values, tent, tent_orbit,
                    HSQUEEZE, PIECE_MATRICES, SHEAR, VSTRETCH)
 from .curves import (ContinuationError, LiftedCurve, ObstructionReport, ThurstonReport,
                      curve_preimage, horizontal_curve, horizontal_isotopic,

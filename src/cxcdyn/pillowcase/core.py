@@ -5,9 +5,10 @@ translations; the canonical fundamental rectangle is [0, 1/2] x (-1/2, 1/2]
 with ties on its boundary broken toward nonnegative y, then lexicographically.
 The family composes the doubling map with a piecewise-linear shuffle of a
 small square at the (1/2, 1/2) cone point, built from three exact rational
-matrices glued along triangle edges.  Everything here is exact: coordinates,
-matrices, orbits, postcritical sets.  Floats appear only in distances and in
-singular values.
+matrices glued along triangle edges; ``shuffle_atlas`` builds it, or its
+inverse, once for the pointwise maps here and the tile pullback in ``tiling``.
+Everything here is exact: coordinates, matrices, orbits, postcritical sets.
+Floats appear only in distances and in singular values.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -200,50 +201,78 @@ def point_in_triangle(p: Vec, tri: Triangle) -> bool:
     return True
 
 
-def corner_map(a: RatLike, v: Vec) -> Vec:
-    a = _frac(a)
-    for piece in corner_pieces(a):
-        if point_in_triangle(v, piece.domain):
-            return mat_vec(piece.matrix, v)
-    raise ValueError(f"{v} is outside the corner square")
+# ---------------------------------------------------------------------------
+# the corner shuffle as an explicit affine atlas
+
+@dataclass(frozen=True)
+class AffineRegion:
+    domain: tuple[Vec, ...]  # triangle, counterclockwise
+    matrix: Mat
+    offset: Vec
+
+    def apply(self, p: Vec) -> Vec:
+        v = mat_vec(self.matrix, p)
+        return (v[0] + self.offset[0], v[1] + self.offset[1])
 
 
-def corner_map_inv(a: RatLike, v: Vec) -> Vec:
-    a = _frac(a)
-    for piece in corner_pieces(a):
-        if point_in_triangle(v, piece.image):
-            return mat_vec(mat_inv(piece.matrix), v)
-    raise ValueError(f"{v} is outside the corner square")
+IDENTITY_REGION = AffineRegion((), mat(1, 0, 0, 1), (Fraction(0), Fraction(0)))
 
 
-def in_corner_square(a: Fraction, p: OrbPoint) -> bool:
-    return HALF - a <= p.x <= HALF and HALF - a <= p.y <= HALF
-
-
-def _through_corner(a: Fraction, p: OrbPoint, inverse: bool) -> OrbPoint:
+def shuffle_atlas(a: Fraction, inverse: bool = False) -> list[AffineRegion]:
+    """Affine pieces of the shuffle (or of its inverse) on both corner squares:
+    each corner piece moved to the square at (1/2, 1/2), then its conjugate by
+    y -> -y.  Off the union of the domains the shuffle is the identity."""
+    if a == 0:
+        return []
     shift = HALF - a
-    local = (p.x - shift, p.y - shift)
-    moved = corner_map_inv(a, local) if inverse else corner_map(a, local)
-    return orb_point(moved[0] + shift, moved[1] + shift)
+    regions = []
+    for piece in corner_pieces(a):
+        m = mat_inv(piece.matrix) if inverse else piece.matrix
+        tri = piece.image if inverse else piece.domain
+        # u -> m (u - t) + t with t = (shift, shift)
+        offset = (shift - (m[0][0] + m[0][1]) * shift, shift - (m[1][0] + m[1][1]) * shift)
+        domain = tuple((x + shift, y + shift) for x, y in tri)
+        regions.append(AffineRegion(domain=domain, matrix=m, offset=offset))
+        # reorder to keep the mirrored triangle counterclockwise
+        mirrored = [(x, -y) for x, y in domain]
+        regions.append(AffineRegion(domain=(mirrored[0], mirrored[2], mirrored[1]),
+                                    matrix=((m[0][0], -m[0][1]), (-m[1][0], m[1][1])),
+                                    offset=(offset[0], -offset[1])))
+    return regions
+
+
+def locate(regions: Sequence[AffineRegion], p: Vec) -> AffineRegion:
+    """First region whose closed domain holds p; the identity off them all."""
+    for region in regions:
+        if point_in_triangle(p, region.domain):
+            return region
+    return IDENTITY_REGION
+
+
+def near_shuffle(a: Fraction, points: Sequence[Vec]) -> bool:
+    """Bounding-box test of points of [0, 1/2] x [-1/2, 1/2] against the two
+    corner squares.  A point set that misses it is fixed by the shuffle; for a
+    single point the test is exact membership in the squares."""
+    if a == 0:
+        return False
+    if max(x for x, _ in points) < HALF - a:
+        return False
+    ys = [y for _, y in points]
+    return max(ys) >= HALF - a or min(ys) <= -HALF + a
 
 
 def perturbation(a: RatLike, p: OrbPoint, inverse: bool = False) -> OrbPoint:
     """The symmetric homeomorphism supported on the corner square and its
     reflection; the identity elsewhere."""
     a = check_parameter(a)
-    if a == 0:
+    v = (p.x, p.y)
+    if not near_shuffle(a, (v,)):
         return p
-    if in_corner_square(a, p):
-        return _through_corner(a, p, inverse)
-    jp = involution(p)
-    if in_corner_square(a, jp):
-        return involution(_through_corner(a, jp, inverse))
-    return p
+    return orb_point(*locate(shuffle_atlas(a, inverse), v).apply(v))
 
 
 def pillow_map(a: RatLike, p: OrbPoint) -> OrbPoint:
     """One member of the family: the corner shuffle after doubling."""
-    a = check_parameter(a)
     return perturbation(a, doubling(p))
 
 
@@ -339,7 +368,6 @@ def preimages(a: RatLike, p: OrbPoint) -> list[tuple[OrbPoint, int]]:
     target over the four half-integer translates; coincidences among the
     four candidates are exactly the branch points and carry the multiplicity.
     """
-    a = check_parameter(a)
     v = perturbation(a, p, inverse=True)
     counts: dict[OrbPoint, int] = {}
     for m in (0, 1):
@@ -410,7 +438,7 @@ def differential_report(a: RatLike, samples: int = 10**4, seed: int = 0) -> Diff
         p = orb_point(HALF - a + u, HALF - a + v)
         image = pillow_map(a, p)
         checked += 1
-        if in_corner_square(a, image) or in_corner_square(a, involution(image)):
+        if near_shuffle(a, ((image.x, image.y),)):
             sampled_ok = False
             break
     disjoint = bool(exact_disjoint and sampled_ok)

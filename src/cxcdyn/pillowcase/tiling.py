@@ -3,11 +3,13 @@
 The one-skeleton (the two horizontal edges plus the two side edges of the
 pillowcase) is forward invariant, so its iterated preimages subdivide the
 two faces into nested tilings with 2 * 4^depth tiles at each depth.  Tiles
-and skeleton arcs are pulled back exactly: the corner-shuffle inverse bends
-segments at six rational triangles, and the doubling inverse contributes
-four affine branches whose images are recanonicalized into the fundamental
-rectangle wholesale (no branch image ever straddles a fold line, because
-tiles stay inside closed faces and segments are split at y = 0 first).
+and skeleton arcs are pulled back exactly: the corner-shuffle inverse (the
+affine atlas ``core.shuffle_atlas(a, inverse=True)``, shared with the
+pointwise maps) bends segments at six rational triangles, and the doubling
+inverse contributes four affine branches whose images are recanonicalized
+into the fundamental rectangle wholesale (no branch image ever straddles a
+fold line, because tiles stay inside closed faces and segments are split at
+y = 0 first).
 """
 
 from __future__ import annotations
@@ -16,72 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (HALF, Mat, RatLike, check_parameter, corner_pieces, mat_inv, mat_vec,
-                   orb_point, pillow_map, point_in_triangle)
+from .core import (HALF, IDENTITY_REGION, AffineRegion, RatLike, check_parameter, locate,
+                   near_shuffle, orb_point, pillow_map, shuffle_atlas)
 
 Point = tuple[Fraction, Fraction]
 Segment = tuple[Point, Point]
-
-
-# ---------------------------------------------------------------------------
-# the inverse of the corner shuffle as an explicit affine atlas
-
-@dataclass(frozen=True)
-class AffineRegion:
-    domain: tuple[Point, ...]  # triangle, counterclockwise
-    matrix: Mat
-    offset: Point
-
-    def apply(self, p: Point) -> Point:
-        v = mat_vec(self.matrix, p)
-        return (v[0] + self.offset[0], v[1] + self.offset[1])
-
-
-def _translate(tri: Sequence[Point], t: Point) -> tuple[Point, ...]:
-    return tuple((x + t[0], y + t[1]) for x, y in tri)
-
-
-def _reflect_y(tri: Sequence[Point]) -> tuple[Point, ...]:
-    # reorder to keep the triangle counterclockwise after reflection
-    pts = [(x, -y) for x, y in tri]
-    return (pts[0], pts[2], pts[1])
-
-
-def inverse_shuffle_atlas(a: Fraction) -> list[AffineRegion]:
-    """Affine pieces of the shuffle inverse on both corner squares.
-
-    Domains are the translated image triangles; off their union the inverse
-    is the identity.
-    """
-    if a == 0:
-        return []
-    shift = HALF - a
-    t = (shift, shift)
-    regions = []
-    for piece in corner_pieces(a):
-        inv = mat_inv(piece.matrix)
-        # u -> inv (u - t) + t
-        base_offset = (t[0] - (inv[0][0] * t[0] + inv[0][1] * t[1]),
-                       t[1] - (inv[1][0] * t[0] + inv[1][1] * t[1]))
-        domain = _translate(piece.image, t)
-        regions.append(AffineRegion(domain=domain, matrix=inv, offset=base_offset))
-        # conjugate by the reflection y -> -y for the mirrored square
-        jm: Mat = ((inv[0][0], -inv[0][1]), (-inv[1][0], inv[1][1]))
-        jb = (base_offset[0], -base_offset[1])
-        regions.append(AffineRegion(domain=_reflect_y(domain), matrix=jm, offset=jb))
-    return regions
-
-
-_IDENTITY = AffineRegion(domain=(), matrix=((Fraction(1), Fraction(0)),
-                                            (Fraction(0), Fraction(1))),
-                         offset=(Fraction(0), Fraction(0)))
-
-
-def _locate(regions: Sequence[AffineRegion], p: Point) -> AffineRegion:
-    for region in regions:
-        if point_in_triangle(p, region.domain):
-            return region
-    return _IDENTITY
 
 
 _FOLD_LINE = (Fraction(0), Fraction(1), Fraction(0))  # y = 0, where branches fold
@@ -98,17 +39,6 @@ def _split_lines(regions: Sequence[AffineRegion]) -> list[tuple[Fraction, Fracti
             av, bv = y2 - y1, x1 - x2
             lines.append((av, bv, av * x1 + bv * y1))
     return lines
-
-
-def _near_shuffle(a: Fraction, points: Sequence[Point]) -> bool:
-    """Cheap bounding-box test against the two corner squares; segments that
-    miss them bend nowhere and only need the y = 0 split."""
-    if a == 0:
-        return False
-    if max(x for x, _ in points) < HALF - a:
-        return False
-    ys = [y for _, y in points]
-    return max(ys) >= HALF - a or min(ys) <= -HALF + a
 
 
 def _split_segment(p: Point, q: Point,
@@ -209,14 +139,13 @@ def _pull_back_boundary(a: Fraction, vertices: Sequence[Point],
     count = len(vertices)
     for k in range(count):
         u, v = vertices[k], vertices[(k + 1) % count]
-        if not _near_shuffle(a, (u, v)):
+        if not near_shuffle(a, (u, v)):
             if not out or u != out[-1]:
                 out.append(u)
             continue
         for p1, p2 in _split_segment(u, v, lines):
             mid = ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2)
-            region = _locate(regions, mid)
-            mapped = region.apply(p1)
+            mapped = locate(regions, mid).apply(p1)
             if not out or mapped != out[-1]:
                 out.append(mapped)
     if out and out[0] == out[-1]:
@@ -245,10 +174,10 @@ def segment_preimages(a: Fraction, seg: Segment,
                       regions: Sequence[AffineRegion],
                       lines: Sequence[tuple[Fraction, Fraction, Fraction]]) -> list[Segment]:
     out = []
-    active = lines if _near_shuffle(a, seg) else (_FOLD_LINE,)
+    active = lines if near_shuffle(a, seg) else (_FOLD_LINE,)
     for p1, p2 in _split_segment(seg[0], seg[1], active):
         mid = ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2)
-        region = _locate(regions, mid) if active is lines else _IDENTITY
+        region = locate(regions, mid) if active is lines else IDENTITY_REGION
         m1, m2 = region.apply(p1), region.apply(p2)
         if m1 == m2:
             continue
@@ -303,7 +232,7 @@ def subdivide(a: RatLike, depth: int, invariance_samples: int = 256) -> Tiling:
         raise ValueError("depth must lie in 0..8 (tile counts grow as 2 * 4^depth)")
     if not skeleton_forward_invariance(a, samples=invariance_samples):
         raise RuntimeError("skeleton is not forward invariant; pullback is not a subdivision")
-    regions = inverse_shuffle_atlas(a)
+    regions = shuffle_atlas(a, inverse=True)
     lines = _split_lines(regions)
     tiles = list(base_faces())
     levels: list[tuple[Segment, ...]] = [tuple(base_skeleton())]

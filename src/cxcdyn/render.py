@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gdms import IntervalSystem, repellor_cover
+from .gdms import IntervalSystem, pull_back_cover, repellor_cover
 from .pillowcase.tiling import Tiling
 
 _FACE_FILLS = ("#dbe7f5", "#f5e3d0")
@@ -17,16 +17,20 @@ _LEVEL_STROKES = ("#1a1a1a", "#5b2a86", "#a23b72", "#2a9d8f",
 
 def cover_strip_svg(sys: IntervalSystem, depth: int, width: int = 900,
                     row_height: int = 28) -> str:
-    """One row per cover depth, one rectangle per cylinder."""
+    """One row per cover depth, one rectangle per cylinder; each row is
+    pulled back from the row above."""
     span_left = min(b.left for b in sys.bases)
     span_right = max(b.right for b in sys.bases)
     scale = width / (span_right - span_left)
     height = (depth + 1) * row_height
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">']
+    cover = repellor_cover(sys, 0)
     for m in range(depth + 1):
+        if m:
+            cover = pull_back_cover(sys, cover)
         y = m * row_height + 4
-        for cyl in repellor_cover(sys, m):
+        for cyl in cover:
             x = (cyl.left - span_left) * scale
             w = max(cyl.length * scale, 0.5)
             fill = _FACE_FILLS[cyl.component % 2]

@@ -199,3 +199,40 @@ def test_distortion_csv_deterministic(capsys, graph_file, tmp_path):
     run(capsys, ["verify", "gdms", "--graph", graph_file, "--alpha", "1/2",
                  "--depth", "4", "--seed", "7", "--out", str(second)])
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["pillow", "preimages", "--a", "1/8"], "--point"),
+    (["menger", "member", "--depth", "2"], "--point"),
+    (["menger", "slice", "--depth", "1", "--resolution", "9"], "--out"),
+    (["verify", "gdms", "--alpha", "1/2"], "--graph"),
+    (["verify", "gdms", "--graph", "GRAPH"], "--alpha"),
+    (["ifs", "attractor", "--depth", "4"], "--lambda"),
+    (["ifs", "overlap", "--depth", "4"], "--lambda"),
+    (["ifs", "kneading", "--n", "4"], "--lambda"),
+    (["ifs", "compare", "--quadratic", "-2", "--n", "4"], "--lambda"),
+])
+def test_missing_action_argument_exits_two(capsys, graph_file, argv, flag):
+    argv = [graph_file if arg == "GRAPH" else arg for arg in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+
+
+def test_pillow_subdivide_passes_samples(capsys, monkeypatch):
+    import cxcdyn.pillowcase.tiling as tiling
+    seen = []
+    real = tiling.skeleton_forward_invariance
+
+    def recording(a, samples=10**4):
+        seen.append(samples)
+        return real(a, samples=samples)
+
+    monkeypatch.setattr(tiling, "skeleton_forward_invariance", recording)
+    code, _, _ = run(capsys, ["pillow", "subdivide", "--a", "1/8", "--depth", "1",
+                              "--samples", "40"])
+    assert code == 0 and seen == [40]
+    run(capsys, ["pillow", "subdivide", "--a", "1/8", "--depth", "1"])
+    assert seen == [40, 256]

@@ -107,6 +107,22 @@ def test_bracket_straddles_radius_one(two_loops):
     assert graph_spectral_radius(two_loops, 1.0 / hi).radius <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5])
+def test_hausdorff_is_alpha_times_one_conformal_solve(alpha):
+    g = make_graph(4, [(i, j, 4) for i in range(1, 5) for j in range(1, 5) if i != j] * 2)
+    delta = solve_exponent(g, "hausdorff", alpha=alpha, tol=1e-10, keep_trace=True)
+    s = solve_exponent(g, "conformal", tol=1e-10 / alpha, keep_trace=True)
+    assert delta.exponent == alpha * s.exponent
+    assert delta.bracket == (alpha * s.bracket[0], alpha * s.bracket[1])
+    assert delta.bracket[1] - delta.bracket[0] <= 1e-10
+    assert delta.evaluations == s.evaluations
+    assert delta.radius_trace == tuple((alpha * e, r) for e, r in s.radius_trace)
+    # radius at alpha / delta brackets 1 from both ends
+    lo, hi = delta.bracket
+    assert graph_spectral_radius(g, alpha / lo).radius >= 1.0 - 1e-9
+    assert graph_spectral_radius(g, alpha / hi).radius <= 1.0 + 1e-9
+
+
 def test_radius_monotone_in_alpha(two_loops):
     g3 = make_graph(2, [(1, 2, 2), (1, 2, 3), (2, 1, 5), (2, 2, 2)])
     for g in (two_loops, g3):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from cxcdyn.gdms import (GDMSPoint, apply_map, box_dimension, build_interval_sys
                          cover_counts, cover_rows, cylinder_from_word, distance,
                          repellor_cover)
 from cxcdyn.graphs import make_graph
+from cxcdyn.render import cover_strip_svg
 
 
 def test_build_two_loops(standard_system):
@@ -238,3 +240,17 @@ def test_pull_back_inverts_map_for_both_orientations(two_loops):
             image = apply_map(sys_, GDMSPoint(cyl.component, x))
             suffix = cylinder_from_word(sys_, cyl.word[1:])
             assert suffix.left - 1e-12 <= image.coordinate <= suffix.right + 1e-12
+
+
+@pytest.mark.parametrize("n, edges, digest", [
+    (1, [(1, 1, 2), (1, 1, 2)],
+     "23c03d7090764fc8f537b4f3aa7762d9ff8e3cf26ef3167d5875d33dd4b2a7cc"),
+    (2, [(1, 1, 2), (1, 2, 3), (2, 1, 2), (2, 1, 5)],
+     "c437066192eb74243a983b7abaa65a839c1fcd94f3e27304dbf06df394057d3d"),
+])
+def test_cover_strip_svg_pinned(n, edges, digest):
+    sys = build_interval_system(make_graph(n, edges), 0.5)
+    svg = cover_strip_svg(sys, 5)
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
+    assert svg.count("<rect") == sum(len(repellor_cover(sys, m)) for m in range(6))
+

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cxcdyn.pillowcase import (CONE_POINTS, CRITICAL_POINTS, HSQUEEZE, SHEAR,
-                               VSTRETCH, corner_map, corner_pieces, critical_values,
+                               VSTRETCH, corner_pieces, critical_values,
                                differential_report, doubling, family_deviation,
                                involution, mat_vec, orb_distance, orb_point,
                                perturbation, pillow_map, postcritical_set, preimages,
@@ -82,7 +82,27 @@ def test_pieces_fix_outer_edges(eighth):
 
 
 def test_corner_map_fixes_stated_point(eighth):
-    assert corner_map(eighth, (eighth, F(0))) == (eighth, F(0))
+    # the corner (a, 0) of the square [0, a]^2, placed at the (1/2, 1/2) cone point
+    fixed = orb_point(F(1, 2), F(1, 2) - eighth)
+    assert perturbation(eighth, fixed) == fixed
+
+
+@pytest.mark.parametrize("a", [F(1, 64), F(3, 40), F(1, 8)])
+def test_inverse_shuffle_round_trip(a):
+    # dyadic points in and around both corner squares, about 32 grid steps
+    # across twice the square, so many land on the triangle edges
+    den = 8 * 2 ** int(1 / a).bit_length()
+    grid = [F(k, den) for k in range(den // 2 - int(2 * a * den) - 1, den // 2 + 1)]
+    moved = {False: 0, True: 0}  # keyed by the lower square
+    for x in grid:
+        for y in grid:
+            for sign in (1, -1):
+                p = orb_point(x, sign * y)
+                image = perturbation(a, p)
+                moved[p.y < 0] += image != p
+                assert perturbation(a, image, inverse=True) == p
+                assert perturbation(a, perturbation(a, p, inverse=True)) == p
+    assert moved[False] > 0 and moved[True] > 0
 
 
 def test_piece_domains_tile_the_square(eighth):

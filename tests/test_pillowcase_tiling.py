@@ -1,8 +1,10 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
 from cxcdyn.pillowcase import skeleton_forward_invariance, subdivide
+from cxcdyn.render import tiling_svg
 
 
 def test_depth_zero_is_the_two_faces():
@@ -66,3 +68,14 @@ def test_tiles_sorted_by_centroid(eighth):
     tiling = subdivide(eighth, 2)
     centroids = [t.centroid() for t in tiling.cells]
     assert centroids == sorted(centroids)
+
+
+@pytest.mark.parametrize("a, digest", [
+    (F(0), "dd8fcaffe7d1721fa519145df990b61e15b61620db409305ce957820e0cdcb6d"),
+    (F(1, 64), "36f161b63b574ac7bb60a1033a934171e16af741b5ee0ae12f090499a02311c1"),
+    (F(3, 40), "c5f4b5d1dbb4bfdaa60d455a054cd84f37ed704d2fa9180207ecd6edaccbfded"),
+    (F(1, 8), "1ce90b35cc3c0cc7c16edbf2e10936616cf8c2e4bb118e45db8d3909943c492a"),
+])
+def test_depth_three_svg_pinned(a, digest):
+    svg = tiling_svg(subdivide(a, 3))
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -158,6 +159,19 @@ def test_pillowcase_distortion_bounded(eighth):
                                samples_per_element=1, element_cap=30)
     assert report.roundness_pairs
     assert report.max_roundness() < 1e3
+
+
+@pytest.mark.parametrize("cover, resolution, depth, digest", [
+    ("faces", 6, 3, "69b2c54cc92cbd237d8782ad3cfa7bfe3bfb10736d7dcc896d3308dcfe1c828f"),
+    ("disks", 5, 2, "35d416e796372a19f3c79ad45f5c1cb2eaa7fc82a87d6eb73be4ad279c6b6b9c"),
+])
+def test_pillowcase_distortion_csv_pinned(eighth, cover, resolution, depth, digest):
+    # the CSV that `verify pillow --a 1/8 --out` writes at the default seed and kmax
+    adapter = pillowcase_adapter(eighth, resolution=resolution, cover=cover)
+    covers = build_covers(adapter, depth)
+    text = distortion_report(adapter, covers, k_max=3, seed=0,
+                             samples_per_element=1, element_cap=40).to_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_distortion_csv_format(standard_system):
