@@ -192,9 +192,7 @@ def _cmd_ifs(args) -> int:
 def _reference_source(args):
     if args.quadratic is not None:
         return dendrite.RealQuadratic(float(args.quadratic))
-    if args.angle is not None:
-        return dendrite.ExternalAngle(Fraction(args.angle))
-    raise ValueError("pass --quadratic c or --angle p/q")
+    return dendrite.ExternalAngle(Fraction(args.angle))
 
 
 def _menger_params(args) -> menger.MengerParams:
@@ -446,12 +444,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# options that only some actions of a subcommand need, as (flag, dest) pairs;
-# a missing one is a usage error, like a missing required option
+# options that only some actions of a subcommand need, as (flag, dest, ...)
+# tuples, any one of the dests sufficing; a missing one is a usage error,
+# like a missing required option
 _LAMBDA = ("--lambda", "lam")
+_REFERENCE = ("--quadratic or --angle", "quadratic", "angle")
 _ACTION_NEEDS = {
     ("ifs", "attractor"): (_LAMBDA,), ("ifs", "overlap"): (_LAMBDA,),
-    ("ifs", "kneading"): (_LAMBDA,), ("ifs", "compare"): (_LAMBDA,),
+    ("ifs", "kneading"): (_LAMBDA,), ("ifs", "compare"): (_LAMBDA, _REFERENCE),
+    ("ifs", "reference"): (_REFERENCE,),
     ("menger", "member"): (("--point", "point"),),
     ("menger", "slice"): (("--out", "out"),),
     ("pillow", "preimages"): (("--point", "point"),),
@@ -463,8 +464,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     action = getattr(args, "action", getattr(args, "system", None))
-    for flag, dest in _ACTION_NEEDS.get((args.command, action), ()):
-        if getattr(args, dest) is None:
+    for flag, *dests in _ACTION_NEEDS.get((args.command, action), ()):
+        if all(getattr(args, dest) is None for dest in dests):
             parser.error(f"{args.command} {action}: the following arguments are "
                          f"required: {flag}")
     if getattr(args, "samples", None) is None and getattr(args, "command", "") == "pillow":

@@ -90,6 +90,21 @@ def orb_distance(p: OrbPoint, q: OrbPoint) -> float:
     return math.sqrt(best)
 
 
+def orb_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``orb_distance`` between broadcast float coordinate arrays of shape
+    (..., 2): the same 18 translates and the same IEEE operations in the
+    same order, so each entry equals the scalar distance bit for bit."""
+    px, py, qx, qy = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
+    best = np.full(np.broadcast_shapes(px.shape, qx.shape), math.inf)
+    for sx, sy in ((qx, qy), (-qx, -qy)):
+        for m in (-1.0, 0.0, 1.0):
+            dx = px - sx - m
+            for n in (-1.0, 0.0, 1.0):
+                dy = py - sy - n
+                np.minimum(best, dx * dx + dy * dy, out=best)
+    return np.sqrt(best)
+
+
 CONE_POINTS = (
     orb_point(0, 0),
     orb_point(HALF, 0),

@@ -9,7 +9,8 @@ pointwise maps) bends segments at six rational triangles, and the doubling
 inverse contributes four affine branches whose images are recanonicalized
 into the fundamental rectangle wholesale (no branch image ever straddles a
 fold line, because tiles stay inside closed faces and segments are split at
-y = 0 first).
+y = 0 first).  Each image moves by one sign flip and integer shift, chosen
+from its bounding box and coordinate sums before any point is moved.
 """
 
 from __future__ import annotations
@@ -61,19 +62,31 @@ def _split_segment(p: Point, q: Point,
 
 def _canonical_placement(points: Sequence[Point]) -> tuple[Point, ...]:
     """Move a point set that does not straddle any fold line back into the
-    fundamental rectangle by one global sign flip plus integer shifts."""
-    candidates = []
-    for sign in (1, -1):
+    fundamental rectangle by one global sign flip plus integer shifts.
+
+    Of the 18 (sign, sx, sy) candidates, the admissible ones (every moved
+    point in [0, 1/2] x [-1/2, 1/2]) follow from the bounding box alone, and
+    each one's key (sum of y, sum of x, sign) from the coordinate sums; the
+    points are moved once, by the admissible candidate with the largest key."""
+    xs, ys = zip(*points)
+    n, total_x, total_y = len(points), sum(xs), sum(ys)
+    box = (min(xs), max(xs), min(ys), max(ys))
+    flipped = (-box[1], -box[0], -box[3], -box[2])
+    best = None
+    for sign, (lo_x, hi_x, lo_y, hi_y) in ((1, box), (-1, flipped)):
         for sx in (0, 1, -1):
+            if lo_x + sx < 0 or hi_x + sx > HALF:
+                continue
             for sy in (0, 1, -1):
-                moved = tuple((sign * x + sx, sign * y + sy) for x, y in points)
-                if all(0 <= x <= HALF and -HALF <= y <= HALF for x, y in moved):
-                    total_y = sum(y for _, y in moved)
-                    total_x = sum(x for x, _ in moved)
-                    candidates.append(((total_y, total_x, sign), moved))
-    if not candidates:
+                if lo_y + sy < -HALF or hi_y + sy > HALF:
+                    continue
+                key = (sign * total_y + n * sy, sign * total_x + n * sx, sign)
+                if best is None or key > best[0]:
+                    best = (key, sx, sy)
+    if best is None:
         raise RuntimeError("branch image straddles a fold line; invariant violated")
-    return max(candidates)[1]
+    (_, _, sign), sx, sy = best
+    return tuple((sign * x + sx, sign * y + sy) for x, y in points)
 
 
 def _branch_images(points: Sequence[Point]) -> list[tuple[Point, ...]]:

@@ -21,8 +21,8 @@ import numpy as np
 from ..gdms import (Cylinder, GDMSPoint, IntervalSystem, apply_map, base_cylinder,
                     cylinder_from_word, distance, edge_path, pull_back)
 from ..menger import MengerParams, expanding_map
-from ..pillowcase.core import OrbPoint, check_parameter, orb_distance, orb_point, \
-    pillow_map, preimages
+from ..pillowcase.core import OrbPoint, check_parameter, orb_distance, orb_distances, \
+    orb_point, pillow_map, preimages
 from ..skew import SkewPoint, skew_distance, skew_map
 from .core import Adapter
 
@@ -244,7 +244,10 @@ Cell = tuple[int, int]
 
 
 class _PillowGrid:
-    """Dyadic cells over the fundamental rectangle with edge identifications."""
+    """Dyadic cells over the fundamental rectangle with edge identifications.
+
+    Cell centers are dyadic and lie strictly inside the rectangle, so the
+    float table ``xy`` holds them exactly and already canonical."""
 
     def __init__(self, a, resolution: int):
         self.a = check_parameter(a)
@@ -252,11 +255,25 @@ class _PillowGrid:
         self.nx = self.ny // 2
         self.h = Fraction(1, self.ny)
         self._imap: Optional[np.ndarray] = None
+        self._centers: dict[Cell, OrbPoint] = {}
+        i, j = np.meshgrid(np.arange(self.nx), np.arange(self.ny), indexing="ij")
+        self.xy = np.stack(((2 * i + 1) / (2 * self.ny), (2 * j + 1) / (2 * self.ny) - 0.5),
+                           axis=-1)
 
-    def center(self, cell: Cell) -> OrbPoint:
-        i, j = cell
+    def _exact_center(self, i: int, j: int) -> OrbPoint:
         return orb_point(Fraction(2 * i + 1, 2 * self.ny),
                          Fraction(2 * j + 1, 2 * self.ny) - Fraction(1, 2))
+
+    def center(self, cell: Cell) -> OrbPoint:
+        point = self._centers.get(cell)
+        if point is None:
+            point = self._centers[cell] = self._exact_center(*cell)
+        return point
+
+    def coords(self, cells: Sequence[Cell]) -> np.ndarray:
+        """Float centers of the cells, shape (len(cells), 2)."""
+        idx = np.array(cells, dtype=np.int64).reshape(-1, 2)
+        return self.xy[idx[:, 0], idx[:, 1]]
 
     def cell_of(self, p: OrbPoint) -> Cell:
         i = min(int(p.x / self.h), self.nx - 1)
@@ -278,7 +295,7 @@ class _PillowGrid:
             imap = np.empty((self.nx, self.ny), dtype=np.int64)
             for i in range(self.nx):
                 for j in range(self.ny):
-                    q = pillow_map(self.a, self.center((i, j)))
+                    q = pillow_map(self.a, self._exact_center(i, j))
                     qi, qj = self.cell_of(q)
                     imap[i, j] = qi * self.ny + qj
             self._imap = imap
@@ -286,6 +303,10 @@ class _PillowGrid:
 
     def flat(self, cell: Cell) -> int:
         return cell[0] * self.ny + cell[1]
+
+
+def _xy(p: OrbPoint) -> np.ndarray:
+    return np.array([float(p.x), float(p.y)])
 
 
 def pillowcase_adapter(a, resolution: int = 10, cover: str = "faces",
@@ -310,8 +331,8 @@ def pillowcase_adapter(a, resolution: int = 10, cover: str = "faces",
                        for ix in range(5) for jy in range(-3, 5)]
             payloads = []
             for c in centers:
-                cells = {(i, j) for i in range(grid.nx) for j in range(grid.ny)
-                         if orb_distance(grid.center((i, j)), c) <= disk_radius}
+                near = orb_distances(grid.xy, _xy(c)) <= disk_radius
+                cells = {(int(i), int(j)) for i, j in zip(*np.nonzero(near))}
                 if cells:
                     payloads.extend(_flood_components(cells, grid.neighbors))
             return payloads
@@ -350,13 +371,10 @@ def pillowcase_adapter(a, resolution: int = 10, cover: str = "faces",
     def diameter(payload: frozenset[Cell]) -> float:
         cells = sorted(payload)
         step = max(1, len(cells) // 48)
-        pts = [grid.center(c) for c in cells[::step]]
+        pts = grid.coords(cells[::step])
         pad = float(grid.h) * 1.4143
-        best = 0.0
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                best = max(best, orb_distance(pts[i], pts[j]))
-        return best + pad
+        pairs = orb_distances(pts[:, None], pts[None, :])[np.triu_indices(len(pts), 1)]
+        return float(pairs.max(initial=0.0)) + pad
 
     def samples(payload: frozenset[Cell], k: int, rng: np.random.Generator) -> list[OrbPoint]:
         cells = sorted(payload)
@@ -374,13 +392,13 @@ def pillowcase_adapter(a, resolution: int = 10, cover: str = "faces",
         ring = {nb for c in payload for nb in grid.neighbors(c)} - set(payload)
         if not ring:
             return float("inf")
-        nearest = min(orb_distance(p, grid.center(c)) for c in ring)
+        nearest = float(orb_distances(_xy(p), grid.coords(list(ring))).min())
         return max(nearest - float(grid.h) * 0.7072, float(grid.h) / 4.0)
 
     def outradius(payload: frozenset[Cell], p: OrbPoint) -> float:
         cells = sorted(payload)
         step = max(1, len(cells) // 96)
-        far = max(orb_distance(p, grid.center(c)) for c in cells[::step])
+        far = float(orb_distances(_xy(p), grid.coords(cells[::step])).max())
         return far + float(grid.h) * 0.7072
 
     return Adapter(

@@ -211,6 +211,8 @@ def test_distortion_csv_deterministic(capsys, graph_file, tmp_path):
     (["ifs", "overlap", "--depth", "4"], "--lambda"),
     (["ifs", "kneading", "--n", "4"], "--lambda"),
     (["ifs", "compare", "--quadratic", "-2", "--n", "4"], "--lambda"),
+    (["ifs", "reference", "--n", "4"], "--quadratic or --angle"),
+    (["ifs", "compare", "--lambda", "1/2", "--n", "4"], "--quadratic or --angle"),
 ])
 def test_missing_action_argument_exits_two(capsys, graph_file, argv, flag):
     argv = [graph_file if arg == "GRAPH" else arg for arg in argv]

@@ -2,9 +2,13 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cxcdyn.pillowcase import skeleton_forward_invariance, subdivide
+from cxcdyn.pillowcase.tiling import _canonical_placement
 from cxcdyn.render import tiling_svg
+
+HALF = F(1, 2)
 
 
 def test_depth_zero_is_the_two_faces():
@@ -79,3 +83,76 @@ def test_tiles_sorted_by_centroid(eighth):
 def test_depth_three_svg_pinned(a, digest):
     svg = tiling_svg(subdivide(a, 3))
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
+# --- canonical placement against the 18-candidate oracle -------------------
+
+def brute_force_placement(points):
+    """Move the points through every sign and shift, keep the candidates
+    inside [0, 1/2] x [-1/2, 1/2], and return the one with the largest
+    (sum of y, sum of x, sign)."""
+    candidates = []
+    for sign in (1, -1):
+        for sx in (0, 1, -1):
+            for sy in (0, 1, -1):
+                moved = tuple((sign * x + sx, sign * y + sy) for x, y in points)
+                if all(0 <= x <= HALF and -HALF <= y <= HALF for x, y in moved):
+                    total_y = sum(y for _, y in moved)
+                    total_x = sum(x for x, _ in moved)
+                    candidates.append(((total_y, total_x, sign), moved))
+    if not candidates:
+        raise RuntimeError("no admissible placement")
+    return max(candidates)[1]
+
+
+def coordinate(lo, hi, specials):
+    """Rationals in [lo, hi], often exactly on a special value."""
+    return st.one_of(st.sampled_from([v for v in specials if lo <= v <= hi]),
+                     st.fractions(lo, hi, max_denominator=96))
+
+
+@st.composite
+def face_point_sets(draw):
+    """Point sets in one closed face, with coordinates on the face edges, the
+    fold lines and the edges of the corner squares for a in (0, 1/8]."""
+    a = draw(st.sampled_from([F(1, 64), F(3, 40), F(1, 10), F(1, 8)]))
+    specials = [F(0), HALF, -HALF, HALF - a, -HALF + a, F(1, 4), F(-1, 4)]
+    lo, hi = draw(st.sampled_from([(F(0), HALF), (-HALF, F(0))]))
+    point = st.tuples(coordinate(F(0), HALF, specials), coordinate(lo, hi, specials))
+    return draw(st.lists(point, min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(face_point_sets())
+def test_canonical_placement_matches_oracle(points):
+    for m in (0, 1):
+        for n in (0, 1):
+            halved = tuple(((x + m) / 2, (y + n) / 2) for x, y in points)
+            assert _canonical_placement(halved) == brute_force_placement(halved)
+
+
+@st.composite
+def straddling_sets(draw):
+    """Point sets whose box crosses a fold line: x in (1/2)Z or y in 1/2 + Z."""
+    gap = st.fractions(F(1, 96), F(1, 4), max_denominator=96)
+    left, right = draw(gap), draw(gap)
+    if draw(st.booleans()):
+        x0 = draw(st.sampled_from([F(0), HALF, F(1)]))
+        ys = st.fractions(-HALF, HALF, max_denominator=96)
+        points = [(x0 - left, draw(ys)), (x0 + right, draw(ys))]
+    else:
+        y0 = draw(st.sampled_from([-HALF, HALF]))
+        xs = st.fractions(F(0), HALF, max_denominator=96)
+        points = [(draw(xs), y0 - left), (draw(xs), y0 + right)]
+    extra = st.tuples(st.fractions(0, HALF, max_denominator=96),
+                      st.fractions(-HALF, HALF, max_denominator=96))
+    return points + draw(st.lists(extra, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(straddling_sets())
+def test_straddling_set_has_no_placement(points):
+    with pytest.raises(RuntimeError):
+        brute_force_placement(points)
+    with pytest.raises(RuntimeError, match="straddles a fold line"):
+        _canonical_placement(points)

@@ -8,6 +8,7 @@ import pytest
 from cxcdyn.gdms import build_interval_system
 from cxcdyn.graphs import make_graph
 from cxcdyn.menger import MengerParams
+from cxcdyn.pillowcase.core import orb_distance, orb_distances, orb_point
 from cxcdyn.verify import (Adapter, build_covers, degree_report, dendrite_adapter,
                            distortion_report, eventually_onto_check, gdms_adapter,
                            menger_adapter, pillowcase_adapter, roundness,
@@ -171,6 +172,70 @@ def test_pillowcase_distortion_csv_pinned(eighth, cover, resolution, depth, dige
     covers = build_covers(adapter, depth)
     text = distortion_report(adapter, covers, k_max=3, seed=0,
                              samples_per_element=1, element_cap=40).to_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_center_table_is_the_exact_centers():
+    grid = _PillowGrid(Fraction(1, 8), 5)
+    assert grid.xy.shape == (grid.nx, grid.ny, 2)
+    for i in range(grid.nx):
+        for j in range(grid.ny):
+            center = grid.center((i, j))
+            assert (grid.xy[i, j, 0], grid.xy[i, j, 1]) == (float(center.x), float(center.y))
+            assert grid.center((i, j)) is center
+
+
+@pytest.mark.parametrize("resolution", [4, 5, 6])
+def test_distance_kernel_equals_scalar_metric(resolution):
+    grid = _PillowGrid(Fraction(1, 8), resolution)
+    rng = np.random.default_rng(resolution)
+    seams = [(i, j) for i in range(grid.nx) for j in range(grid.ny)
+             if i in (0, grid.nx - 1) or j in (0, grid.ny - 1)]
+    randoms = [(int(i), int(j)) for i, j in zip(rng.integers(grid.nx, size=60),
+                                                rng.integers(grid.ny, size=60))]
+    cells = seams + randoms
+    # off-grid points, some on the rectangle's edges and at cone points
+    off_grid = [orb_point(Fraction(int(p), 97), Fraction(int(q), 89))
+                for p, q in zip(rng.integers(-200, 200, size=40), rng.integers(-200, 200, size=40))]
+    off_grid += [orb_point(0, 0), orb_point(Fraction(1, 2), Fraction(1, 2)),
+                 orb_point(0, Fraction(1, 3)), orb_point(Fraction(1, 2), Fraction(-1, 7))]
+    points = [grid.center(c) for c in cells] + off_grid
+    xy = np.array([[float(p.x), float(p.y)] for p in points])
+    table = orb_distances(xy[:, None], xy[None, :])
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            assert table[i, j] == orb_distance(p, q)
+
+
+def _hook_rows(adapter, depth):
+    rows = []
+    for level in build_covers(adapter, depth).levels:
+        for element in level:
+            payload = element.payload
+            base = adapter.basepoint(payload)
+            rows.append((element.uid, len(payload), adapter.diameter(payload).hex(),
+                         adapter.distance_to_complement(payload, base).hex(),
+                         adapter.outradius(payload, base).hex()))
+    return rows
+
+
+@pytest.mark.parametrize("cover, resolution, count, digest", [
+    ("faces", 5, 42, "bfc83761c90f9db7336f4f1f62b1ea4e73e254fbdd9eaa8d8258f04654ca83e4"),
+    ("disks", 4, 672, "552a7e581b43f20dd5e8178e7e2835f84f7d6093edeb4f5912ac9e0fd3c7f46a"),
+])
+def test_pillowcase_hooks_pinned(eighth, cover, resolution, count, digest):
+    # diameter, distance to complement and outradius about the basepoint of
+    # every element of a depth-2 cover, as float.hex
+    rows = _hook_rows(pillowcase_adapter(eighth, resolution=resolution, cover=cover), 2)
+    assert len(rows) == count
+    if cover == "faces":
+        assert rows[0] == ("0:0", 256, "0x1.6a0a410ae03a9p-1", "0x1.d2bd3c3611340p-3",
+                           "0x1.6acb897224696p-2")
+        assert rows[2] == ("0:0/0", 64, "0x1.6a0a9badccb84p-2", "0x1.a57a786c22680p-4",
+                           "0x1.974caa31e288dp-3")
+        assert rows[-1][2:] == ("0x1.6a0b50f3a5b3cp-3", "0x1.4af4f0d844d01p-5",
+                                "0x1.c48f6dfbd154cp-4")
+    text = "\n".join(",".join(map(str, row)) for row in rows)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
