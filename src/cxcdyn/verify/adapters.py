@@ -21,7 +21,7 @@ import numpy as np
 from ..gdms import (Cylinder, GDMSPoint, IntervalSystem, apply_map, base_cylinder,
                     cylinder_from_word, distance, edge_path, pull_back)
 from ..menger import MengerParams, expanding_map
-from ..pillowcase.core import OrbPoint, check_parameter, orb_distance, orb_distances, \
+from ..pillowcase.core import HALF, OrbPoint, check_parameter, orb_distance, orb_distances, \
     orb_point, pillow_map, preimages
 from ..skew import SkewPoint, skew_distance, skew_map
 from .core import Adapter
@@ -255,20 +255,13 @@ class _PillowGrid:
         self.nx = self.ny // 2
         self.h = Fraction(1, self.ny)
         self._imap: Optional[np.ndarray] = None
-        self._centers: dict[Cell, OrbPoint] = {}
         i, j = np.meshgrid(np.arange(self.nx), np.arange(self.ny), indexing="ij")
         self.xy = np.stack(((2 * i + 1) / (2 * self.ny), (2 * j + 1) / (2 * self.ny) - 0.5),
                            axis=-1)
 
-    def _exact_center(self, i: int, j: int) -> OrbPoint:
-        return orb_point(Fraction(2 * i + 1, 2 * self.ny),
-                         Fraction(2 * j + 1, 2 * self.ny) - Fraction(1, 2))
-
     def center(self, cell: Cell) -> OrbPoint:
-        point = self._centers.get(cell)
-        if point is None:
-            point = self._centers[cell] = self._exact_center(*cell)
-        return point
+        i, j = cell
+        return OrbPoint(Fraction(2 * i + 1, 2 * self.ny), Fraction(2 * j + 1, 2 * self.ny) - HALF)
 
     def coords(self, cells: Sequence[Cell]) -> np.ndarray:
         """Float centers of the cells, shape (len(cells), 2)."""
@@ -295,7 +288,7 @@ class _PillowGrid:
             imap = np.empty((self.nx, self.ny), dtype=np.int64)
             for i in range(self.nx):
                 for j in range(self.ny):
-                    q = pillow_map(self.a, self._exact_center(i, j))
+                    q = pillow_map(self.a, self.center((i, j)))
                     qi, qj = self.cell_of(q)
                     imap[i, j] = qi * self.ny + qj
             self._imap = imap
