@@ -50,20 +50,23 @@ def _emit(payload: dict) -> None:
 
 
 def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
 def _complex_pair(text: str) -> complex:
     parts = text.split(",")
     if len(parts) == 1:
-        return complex(float(Fraction(parts[0])), 0.0)
+        return complex(float(_fraction(parts[0])), 0.0)
     if len(parts) == 2:
-        return complex(float(Fraction(parts[0])), float(Fraction(parts[1])))
+        return complex(float(_fraction(parts[0])), float(_fraction(parts[1])))
     raise argparse.ArgumentTypeError("expected 're' or 're,im'")
 
 
 def _point(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(p) for p in text.split(","))
+    return tuple(_fraction(p) for p in text.split(","))
 
 
 def _load_graph(path: str):
@@ -192,7 +195,7 @@ def _cmd_ifs(args) -> int:
 def _reference_source(args):
     if args.quadratic is not None:
         return dendrite.RealQuadratic(float(args.quadratic))
-    return dendrite.ExternalAngle(Fraction(args.angle))
+    return dendrite.ExternalAngle(args.angle)
 
 
 def _menger_params(args) -> menger.MengerParams:
@@ -275,7 +278,9 @@ def _cmd_pillow(args) -> int:
                "q_disjointness": report.q_disjointness})
         return 0
     if args.action == "preimages":
-        p = orb_point(args.point[0], args.point[1])
+        if len(args.point) != 2:
+            raise ValueError(f"--point needs two coordinates x,y, got {len(args.point)}")
+        p = orb_point(*args.point)
         fiber = preimages(args.a, p)
         _emit({"a": args.a, "point": [p.x, p.y],
                "preimages": [{"point": [q.x, q.y], "degree": d} for q, d in fiber],
@@ -294,7 +299,7 @@ def _cmd_verify(args) -> int:
         sys_ = gdms.build_interval_system(g, float(args.alpha))
         adapter = gdms_adapter(sys_, snowflaked=args.snowflaked)
         covers = build_covers(adapter, args.depth)
-        round_max = roundness_bound(covers, 0, 200, np.random.default_rng(args.seed))
+        round_max = roundness_bound(covers, 0, 200)
         word3 = None
         level3 = [e for e in covers.levels[min(3, covers.depth)]]
         if level3:
@@ -391,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--quadratic", default=None, help="real parameter c <= -2")
-    p.add_argument("--angle", default=None, help="rational angle p/q")
+    p.add_argument("--angle", type=_fraction, default=None, help="rational angle p/q")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_ifs)
 

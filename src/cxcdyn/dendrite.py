@@ -100,16 +100,41 @@ class OverlapReport:
 
 
 def _close_pair_midpoints(approx: AttractorApprox, tol: float) -> np.ndarray:
-    from scipy.spatial import cKDTree  # deferred: scipy.spatial dominates `import cxcdyn`
+    """Midpoints of the pairs (p, q), p from the 0-half and q from the
+    1-half, with dx*dx + dy*dy <= tol*tol, ordered by p's index, then q's.
 
-    half = len(approx.points) // 2
-    lower, upper = approx.points[:half], approx.points[half:]
-    tree0, tree1 = cKDTree(_as_xy(lower)), cKDTree(_as_xy(upper))
-    midpoints = []
-    for i, hits in enumerate(tree0.query_ball_tree(tree1, tol)):
-        for j in hits:
-            midpoints.append(0.5 * (lower[i] + upper[j]))
-    return np.asarray(midpoints, dtype=complex)
+    Cells at least tol wide put every close pair in a 3x3 block of cells;
+    cells at least extent * 2^-24 wide keep the packed int64 cell keys below
+    2^49 however small tol is.  Each of the nine block offsets is matched
+    against the sorted 1-half keys in turn, which bounds the candidates held.
+    """
+    points = approx.points
+    half = len(points) // 2
+    x, y = points.real, points.imag
+    # the 2^-20 margin absorbs rounding in the cell coordinates, so a pair
+    # that passes the distance test never lands two cells apart
+    side = max(tol, max(np.ptp(x), np.ptp(y)) * 2.0**-24) * (1.0 + 2.0**-20)
+    ix = np.floor((x - x.min()) / side).astype(np.int64)
+    iy = np.floor((y - y.min()) / side).astype(np.int64) + 1  # room for dy = -1
+    width = int(iy.max()) + 2  # room for dy = +1
+    keys = ix * width + iy
+    order = half + np.argsort(keys[half:])
+    upper_keys = keys[order]
+    firsts, seconds = [], []
+    for shift in (dx * width + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
+        wanted = keys[:half] + shift
+        start = np.searchsorted(upper_keys, wanted, side="left")
+        counts = np.searchsorted(upper_keys, wanted, side="right") - start
+        i = np.repeat(np.arange(half), counts)
+        # each i meets the run start[i], start[i] + 1, ... of sorted keys
+        j = order[np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(len(i))]
+        dx, dy = x[i] - x[j], y[i] - y[j]
+        close = dx * dx + dy * dy <= tol * tol
+        firsts.append(i[close])
+        seconds.append(j[close])
+    i, j = np.concatenate(firsts), np.concatenate(seconds)
+    rank = np.lexsort((j, i))
+    return 0.5 * (points[i[rank]] + points[j[rank]])
 
 
 def overlap_test(lam: complex, depth: int = 14, tol: float | None = None) -> OverlapReport:
@@ -125,6 +150,8 @@ def overlap_test(lam: complex, depth: int = 14, tol: float | None = None) -> Ove
         raise ValueError("depth must be >= 6 so a shallower comparison run exists")
     if tol is None:
         tol = default_tolerance(lam, depth)
+    if not tol >= 0:
+        raise ValueError("tol must be a nonnegative number")
     approx_error = abs(lam) ** depth / (1.0 - abs(lam))
 
     deep = _close_pair_midpoints(attractor_points(lam, depth), tol)
@@ -198,7 +225,8 @@ def kneading_sequence(lam: complex, n: int, depth: int = 16,
     Membership in a half is decided by the leading address bit of the
     nearest approximation point; an iterate within tol of the branch point
     itself is ambiguous and raises.  The half containing the first iterate
-    is labeled 1 by convention.
+    is labeled 1 by convention.  Each of the n lookups scans all 2^depth
+    points, so the cost is O(n * 2^depth) on top of the overlap test.
     """
     lam = _check_param(lam)
     if n < 1:
@@ -210,14 +238,18 @@ def kneading_sequence(lam: complex, n: int, depth: int = 16,
         raise ValueError("halves appear disjoint at this tolerance; no branched cover")
     o = report.candidate_o
     approx = attractor_points(lam, depth)
-    from scipy.spatial import cKDTree  # deferred, as in _close_pair_midpoints
-
-    tree = cKDTree(_as_xy(approx.points))
+    xs, ys = approx.points.real.copy(), approx.points.imag.copy()
+    # one pair of scratch arrays for all lookups: a fresh 2^depth-sized
+    # array per lookup costs more in page faults than the arithmetic
+    dx, dy = np.empty_like(xs), np.empty_like(ys)
     leading = approx.leading_bits
 
     def classify(z: complex) -> int:
-        _, idx = tree.query([z.real, z.imag])
-        return int(leading[idx])
+        np.subtract(xs, z.real, out=dx)
+        np.subtract(ys, z.imag, out=dy)
+        np.multiply(dx, dx, out=dx)
+        np.multiply(dy, dy, out=dy)
+        return int(leading[np.argmin(np.add(dx, dy, out=dx))])
 
     z = o / lam  # both branch inverses agree at the branch point
     first_half = classify(z)

@@ -91,6 +91,8 @@ def membership(params: MengerParams, x: Sequence[float], depth: int,
     if depth < 0:
         raise ValueError("depth must be >= 0")
     point = tuple(float(c) for c in x)
+    if len(point) != params.k:
+        raise ValueError("point dimension mismatch")
     if any(c < 0.0 or c > 1.0 for c in point):
         raise ValueError("coordinates must lie in [0, 1]")
     need = params.n + 1
@@ -115,6 +117,8 @@ def digit_membership(params: MengerParams, x: Sequence[Fraction], depth: int) ->
     if params.mode != "reflect" or any(f != 3 for f in params.factors):
         raise ValueError("digit oracle only covers the all-3 reflect case")
     coords = [Fraction(c) for c in x]
+    if len(coords) != params.k:
+        raise ValueError("point dimension mismatch")
     if any(c < 0 or c > 1 for c in coords):
         raise ValueError("coordinates must lie in [0, 1]")
     lo, hi = Fraction(1, 3), Fraction(2, 3)

@@ -43,7 +43,6 @@ def check_parameter(a: RatLike) -> Fraction:
 class OrbPoint:
     x: Fraction
     y: Fraction
-    canonical: bool = True
 
 
 def orb_point(x: RatLike, y: RatLike) -> OrbPoint:

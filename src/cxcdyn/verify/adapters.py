@@ -251,6 +251,8 @@ class _PillowGrid:
 
     def __init__(self, a, resolution: int):
         self.a = check_parameter(a)
+        if resolution < 1:
+            raise ValueError(f"resolution must be >= 1, got {resolution}")
         self.ny = 2 ** resolution
         self.nx = self.ny // 2
         self.h = Fraction(1, self.ny)

@@ -26,8 +26,8 @@ class Adapter:
 
     ``preimage_components`` returns (payload, degree) pairs: the connected
     pieces of the preimage of a cover element together with the degree of
-    the map restricted to each piece.  ``distance_to_complement`` and the
-    optional ``outradius`` work in the same metric as ``metric``.
+    the map restricted to each piece.  ``distance_to_complement`` and
+    ``outradius`` work in the same metric as ``metric``.
     The symbolic hooks (``forward_step``, ``covered_component``,
     ``all_components``) are only needed by eventually_onto_check.
     """
@@ -41,8 +41,8 @@ class Adapter:
     sample_points: Callable[[Any, int, np.random.Generator], list[Any]]
     basepoint: Callable[[Any], Any]
     distance_to_complement: Callable[[Any, Any], float]
-    outradius: Optional[Callable[[Any, Any], float]] = None
-    is_subset: Optional[Callable[[Any, Any], bool]] = None
+    outradius: Callable[[Any, Any], float]
+    is_subset: Callable[[Any, Any], bool]
     forward_step: Optional[Callable[[Any], list[Any]]] = None
     covered_component: Optional[Callable[[Any], Optional[Hashable]]] = None
     all_components: Optional[frozenset] = None
@@ -119,30 +119,19 @@ def degree_report(covers: CoverSequence, k_max: int) -> int:
     return worst
 
 
-def roundness(adapter: Adapter, payload: Any, basepoint: Any,
-              rng: Optional[np.random.Generator] = None, samples: int = 256) -> float:
+def roundness(adapter: Adapter, payload: Any, basepoint: Any) -> float:
     """Outradius over inradius about the basepoint.
 
-    The outradius uses the adapter's exact hook when present, otherwise the
-    max metric distance to sampled element points; the inradius is the
-    distance to the complement, capped at the outradius.  The sampled
-    estimator underestimates the inradius, hence overestimates roundness --
-    conservative for upper bounds.
+    The inradius is the distance to the complement, capped at the outradius.
     """
-    if adapter.outradius is not None:
-        big = adapter.outradius(payload, basepoint)
-    else:
-        rng = rng or np.random.default_rng(0)
-        pts = adapter.sample_points(payload, samples, rng)
-        big = max(adapter.metric(basepoint, s) for s in pts)
+    big = adapter.outradius(payload, basepoint)
     small = min(adapter.distance_to_complement(payload, basepoint), big)
     if small <= 0:
         raise ValueError("basepoint is not interior to the element")
     return big / small
 
 
-def roundness_bound(covers: CoverSequence, min_level: int, element_cap: int,
-                    rng: np.random.Generator) -> float:
+def roundness_bound(covers: CoverSequence, min_level: int, element_cap: int) -> float:
     """Largest roundness about the basepoint (at least 1) over the first
     ``element_cap`` elements of each level from ``min_level`` on; elements
     whose basepoint is not interior are skipped."""
@@ -152,7 +141,7 @@ def roundness_bound(covers: CoverSequence, min_level: int, element_cap: int,
         for element in level[:element_cap]:
             try:
                 value = roundness(adapter, element.payload,
-                                  adapter.basepoint(element.payload), rng)
+                                  adapter.basepoint(element.payload))
             except ValueError:
                 continue
             worst = max(worst, value)
@@ -232,41 +221,40 @@ def distortion_report(adapter: Adapter, covers: CoverSequence, k_max: int = 2,
                 for tilde_y in adapter.sample_points(element.payload, samples_per_element, rng):
                     y = _evaluate_k(adapter, tilde_y, k)
                     try:
-                        up_round = roundness(adapter, element.payload, tilde_y, rng)
-                        down_round = roundness(adapter, down.payload, y, rng)
+                        up_round = roundness(adapter, element.payload, tilde_y)
+                        down_round = roundness(adapter, down.payload, y)
                     except ValueError:
                         continue  # sampled point not interior; skip the pair
                     round_pairs.append((down.level, k, down_round, up_round))
                     total += 1
 
     diam_pairs = []
-    if adapter.is_subset is not None:
-        for n0, level in enumerate(covers.levels):
-            for inner_gap in (1, 2):
-                n1 = n0 + inner_gap
-                if n1 >= len(covers.levels):
+    for n0, level in enumerate(covers.levels):
+        for inner_gap in (1, 2):
+            n1 = n0 + inner_gap
+            if n1 >= len(covers.levels):
+                continue
+            for small in covers.levels[n1][:element_cap]:
+                bigs = [e for e in level[:element_cap]
+                        if adapter.is_subset(small.payload, e.payload)]
+                if not bigs:
                     continue
-                for small in covers.levels[n1][:element_cap]:
-                    bigs = [e for e in level[:element_cap]
-                            if adapter.is_subset(small.payload, e.payload)]
-                    if not bigs:
+                big = bigs[0]
+                down_ratio = small.diameter / big.diameter
+                for k in range(1, k_max + 1):
+                    if n1 + k >= len(covers.levels):
                         continue
-                    big = bigs[0]
-                    down_ratio = small.diameter / big.diameter
-                    for k in range(1, k_max + 1):
-                        if n1 + k >= len(covers.levels):
+                    for tilde_small in covers.levels[n1 + k][:element_cap]:
+                        if tilde_small.ancestor(k) is not small:
                             continue
-                        for tilde_small in covers.levels[n1 + k][:element_cap]:
-                            if tilde_small.ancestor(k) is not small:
-                                continue
-                            ups = [e for e in covers.levels[n0 + k][:element_cap]
-                                   if e.ancestor(k) is big
-                                   and adapter.is_subset(tilde_small.payload, e.payload)]
-                            if not ups:
-                                continue
-                            up_ratio = tilde_small.diameter / ups[0].diameter
-                            diam_pairs.append((n0, n1, k, down_ratio, up_ratio))
-                            total += 1
+                        ups = [e for e in covers.levels[n0 + k][:element_cap]
+                               if e.ancestor(k) is big
+                               and adapter.is_subset(tilde_small.payload, e.payload)]
+                        if not ups:
+                            continue
+                        up_ratio = tilde_small.diameter / ups[0].diameter
+                        diam_pairs.append((n0, n1, k, down_ratio, up_ratio))
+                        total += 1
     return DistortionReport(roundness_pairs=round_pairs, diam_pairs=diam_pairs, samples=total)
 
 
@@ -312,7 +300,7 @@ class VisualMetricReport:
 
 
 def visual_metric_check(covers: CoverSequence, min_level: int = 2,
-                        spread_bound: float = 16.0, seed: int = 0,
+                        spread_bound: float = 16.0,
                         element_cap: int = 400) -> VisualMetricReport:
     """Fit diam ~ exp(-eps n) across levels and bound element roundness.
 
@@ -321,7 +309,6 @@ def visual_metric_check(covers: CoverSequence, min_level: int = 2,
     roundness bound is evidence (not proof) that the metric is of visual
     type for this system.
     """
-    rng = np.random.default_rng(seed)
     ns, logs = [], []
     for level in covers.levels[min_level:]:
         for element in level[:element_cap]:
@@ -336,7 +323,7 @@ def visual_metric_check(covers: CoverSequence, min_level: int = 2,
     spread = math.exp(max(residuals) - min(residuals))
     return VisualMetricReport(fitted_epsilon=eps, spread=spread,
                               roundness_bound=roundness_bound(covers, min_level,
-                                                              element_cap, rng),
+                                                              element_cap),
                               levels_used=(min_level, covers.depth),
                               verdict=bool(spread <= spread_bound))
 

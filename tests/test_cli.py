@@ -238,3 +238,33 @@ def test_pillow_subdivide_passes_samples(capsys, monkeypatch):
     assert code == 0 and seen == [40]
     run(capsys, ["pillow", "subdivide", "--a", "1/8", "--depth", "1"])
     assert seen == [40, 256]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pillow", "pcs", "--a", "1/0"],
+    ["menger", "member", "--point", "1/0,0,0"],
+    ["ifs", "attractor", "--lambda", "1/0"],
+    ["ifs", "attractor", "--lambda", "1/2,3/0"],
+    ["skew", "orbit", "--graph", "GRAPH", "--alpha", "1/0"],
+    ["ifs", "reference", "--angle", "1/0"],
+])
+def test_zero_denominator_is_a_usage_error(capsys, graph_file, argv):
+    argv = [graph_file if arg == "GRAPH" else arg for arg in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "zero denominator" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pillow", "preimages", "--a", "1/8", "--point", "1/2"], "two coordinates"),
+    (["pillow", "preimages", "--a", "1/8", "--point", "1/2,1/2,1/2"], "two coordinates"),
+    (["menger", "member", "--point", "1/2,1/2"], "dimension"),
+    (["verify", "pillow", "--resolution", "0"], "resolution"),
+    (["verify", "pillow", "--resolution", "-1"], "resolution"),
+])
+def test_malformed_point_or_grid_exits_one(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from fractions import Fraction
 
 import cxcdyn
-from cxcdyn.dendrite import (BranchPointError, ExternalAngle,
-                             KneadingSeq, RealQuadratic, attractor_points,
+from cxcdyn.dendrite import (BranchPointError, ExternalAngle, KneadingSeq, RealQuadratic,
+                             _close_pair_midpoints, attractor_points,
                              branched_cover_step, default_tolerance, involution,
                              involution_center, kneading_reference, kneading_sequence,
                              overlap_test)
@@ -89,7 +89,6 @@ def test_overlap_separated_case():
 
 
 def test_overlap_midpoints_involution_invariant():
-    from cxcdyn.dendrite import _close_pair_midpoints
     lam = 0.5
     depth = 12
     tol = default_tolerance(lam, depth)
@@ -176,9 +175,56 @@ def test_angle_reference_starts_with_one(num, den):
 
 
 def test_import_leaves_scipy_spatial_unloaded():
-    # scipy.spatial is most of the import time; only the kd-tree queries need it
+    # numpy is the only runtime dependency: neither importing cxcdyn nor
+    # running the overlap probe and the kneading lookup loads any of scipy
     src = str(Path(cxcdyn.__file__).resolve().parents[1])
-    code = "import sys, cxcdyn; print('scipy.spatial' in sys.modules)"
+    code = ("import sys, cxcdyn\n"
+            "from cxcdyn.dendrite import kneading_sequence, overlap_test\n"
+            "overlap_test(0.5, 8)\n"
+            "kneading_sequence(0.5, 4)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
+
+
+# --- close pairs against the all-pairs oracle --------------------------------
+
+def all_pairs_midpoints(approx, tol):
+    """Every (lower, upper) pair within tol, by lower then upper index."""
+    half = len(approx.points) // 2
+    lower, upper = approx.points[:half], approx.points[half:]
+    dx = lower.real[:, None] - upper.real[None, :]
+    dy = lower.imag[:, None] - upper.imag[None, :]
+    i, j = np.nonzero(dx * dx + dy * dy <= tol * tol)
+    return 0.5 * (lower[i] + upper[j])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.floats(0.2, 0.75), st.floats(0.0, 2 * np.pi), st.integers(1, 10))
+def test_close_pairs_match_all_pairs_oracle(modulus, angle, depth):
+    # same midpoints in the same order: the order fixes the summation order
+    # of the centroid, hence every printed digit of candidate_o
+    lam = complex(modulus * np.cos(angle), modulus * np.sin(angle))
+    approx = attractor_points(lam, depth)
+    tol = default_tolerance(lam, depth)
+    fast = _close_pair_midpoints(approx, tol)
+    oracle = all_pairs_midpoints(approx, tol)
+    assert fast.dtype == oracle.dtype and fast.shape == oracle.shape
+    assert (fast == oracle).all()
+
+
+@pytest.mark.parametrize("lam, depth", [(0.5, 10), (complex(0.606218, 0.35), 10),
+                                        (complex(0.34, 0.588897), 9)])
+def test_close_pairs_oracle_on_overlapping_cases(lam, depth):
+    # fixed cases with many pairs, including the dyadic ties of lam = 1/2
+    approx = attractor_points(lam, depth)
+    for tol in (default_tolerance(lam, depth), 0.25 * default_tolerance(lam, depth), 0.0):
+        fast, oracle = _close_pair_midpoints(approx, tol), all_pairs_midpoints(approx, tol)
+        assert fast.shape == oracle.shape and (fast == oracle).all()
+
+
+def test_overlap_rejects_negative_or_nan_tolerance():
+    for tol in (-0.05, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            overlap_test(0.5, 8, tol=tol)

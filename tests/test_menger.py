@@ -34,6 +34,19 @@ def test_membership_examples():
     assert (face.status, face.level) == ("out", 0)
 
 
+@pytest.mark.parametrize("point", [(0.5, 0.5), (0.1, 0.1), (0.5, 0.5, 0.5, 0.5)])
+def test_membership_rejects_wrong_dimension(point):
+    with pytest.raises(ValueError, match="dimension"):
+        membership(sponge_params(), point, 3)
+
+
+@pytest.mark.parametrize("point", [(Fraction(1, 2), Fraction(1, 2)), (0, 0),
+                                   (0, 0, 0, Fraction(1, 2))])
+def test_digit_membership_rejects_wrong_dimension(point):
+    with pytest.raises(ValueError, match="dimension"):
+        digit_membership(sponge_params(), point, 3)
+
+
 def test_membership_matches_digit_oracle():
     p = sponge_params()
     rng = np.random.default_rng(1)

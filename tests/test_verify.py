@@ -53,6 +53,12 @@ def test_pillowcase_refine_faces():
     assert 0.4 <= ratio <= 0.6  # halved, up to raster slack
 
 
+@pytest.mark.parametrize("resolution", [0, -1])
+def test_pillowcase_resolution_below_one_rejected(resolution):
+    with pytest.raises(ValueError, match="resolution"):
+        pillowcase_adapter(0, resolution=resolution)
+
+
 # --- degrees ----------------------------------------------------------------
 
 def test_gdms_degrees_trivial(standard_system):
@@ -117,9 +123,13 @@ def test_roundness_square_center_sup_metric():
         sample_points=lambda payload, k, rng: [tuple(xy) for xy in rng.random((k, 2))],
         basepoint=lambda payload: (0.5, 0.5),
         distance_to_complement=lambda payload, p: min(p[0], 1 - p[0], p[1], 1 - p[1]),
+        outradius=lambda payload, p: max(p[0], 1 - p[0], p[1], 1 - p[1]),
+        is_subset=lambda small, big: small == big,
     )
-    value = roundness(square, None, (0.5, 0.5), np.random.default_rng(0), samples=4096)
-    assert value == pytest.approx(1.0, abs=0.02)
+    assert roundness(square, None, (0.5, 0.5)) == 1.0
+    assert roundness(square, None, (0.25, 0.5)) == 3.0
+    with pytest.raises(ValueError, match="interior"):
+        roundness(square, None, (0.0, 0.5))
 
 
 def test_gdms_roundness_about_midpoints(standard_system):
