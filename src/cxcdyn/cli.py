@@ -391,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["attractor", "overlap", "kneading",
                                       "reference", "compare"])
     p.add_argument("--lambda", dest="lam", type=_complex_pair, default=None,
-                   help="parameter as 're' or 're,im'")
+                   help="parameter as 're' or 're,im'; join a negative real part "
+                   "with '=', as in --lambda=-0.7,0.1")
     p.add_argument("--depth", type=int, default=14)
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--tol", type=float, default=None)
@@ -424,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--point", type=_point, default=None)
+    p.add_argument("--point", type=_point, default=None,
+                   help="point as 'x,y'; join a negative x with '=', as in --point=-1/4,1/3")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_pillow)
 

@@ -128,7 +128,7 @@ _BRACKET_LIMIT = float(2**20)
 
 def solve_exponent(g: WeightedDigraph, mode: str = "conformal",
                    alpha: Optional[float] = None, tol: float = 1e-10,
-                   radius_tol: float = 1e-12, keep_trace: bool = False) -> DimensionResult:
+                   keep_trace: bool = False) -> DimensionResult:
     """Solve for the exponent making the relevant spectral radius equal 1.
 
     mode "conformal": the exponent s with radius(1/s) = 1, the Hausdorff
@@ -164,7 +164,7 @@ def solve_exponent(g: WeightedDigraph, mode: str = "conformal",
     def evaluate(s: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        r = spectral_radius(weight_matrix(g, 1.0 / s), tol=radius_tol).radius
+        r = spectral_radius(weight_matrix(g, 1.0 / s)).radius
         if keep_trace:
             trace.append((scale * s, r))
         return r

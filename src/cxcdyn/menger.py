@@ -142,8 +142,7 @@ def snowflake_distance(params: MengerParams, x: Sequence[float], y: Sequence[flo
     return max(abs(float(a) - float(b)) ** e for a, b, e in zip(x, y, eps))
 
 
-def segment_clears_folds(params: MengerParams, x: Sequence[float], y: Sequence[float],
-                         margin: float = 1e-12) -> bool:
+def segment_clears_folds(params: MengerParams, x: Sequence[float], y: Sequence[float]) -> bool:
     """True when every coordinate pair sits strictly inside one scaling cell,
     i.e. the segment avoids all fold hyperplanes (multiples of 1/factor_i)."""
     for f, a, b in zip(params.factors, x, y):
@@ -151,13 +150,12 @@ def segment_clears_folds(params: MengerParams, x: Sequence[float], y: Sequence[f
         ca, cb = math.floor(sa), math.floor(sb)
         if ca != cb:
             return False
-        if min(sa - ca, ca + 1.0 - sa, sb - cb, cb + 1.0 - sb) < margin:
+        if min(sa - ca, ca + 1.0 - sa, sb - cb, cb + 1.0 - sb) < 1e-12:
             return False
     return True
 
 
-def homothety_deviation(params: MengerParams, pairs: int, seed: int = 0,
-                        denominator_bits: int = 20) -> float:
+def homothety_deviation(params: MengerParams, pairs: int, seed: int = 0) -> float:
     """Max |d(f x, f y) - 3 d(x, y)| over admissible sampled pairs.
 
     Pairs are dyadic (so the integer scalings are exact in binary floating
@@ -165,7 +163,7 @@ def homothety_deviation(params: MengerParams, pairs: int, seed: int = 0,
     of every fold hyperplane.
     """
     rng = np.random.default_rng(seed)
-    scale = 2**denominator_bits
+    scale = 2**20
     bound = 1.0 / (2.0 * max(params.factors))
     worst = 0.0
     found = 0

@@ -14,6 +14,7 @@ Floats appear only in distances and in singular values.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -48,21 +49,19 @@ class OrbPoint:
 def orb_point(x: RatLike, y: RatLike) -> OrbPoint:
     """Canonical representative of (x, y) under negation plus translations.
 
-    The x coordinate determines the sign choice except on the lines
-    x in {0, 1/2}; there the representative with y >= 0 wins, then the
-    lexicographically smaller pair.  Idempotent by construction.
+    Negation folds x into [0, 1/2] and carries y along; y then reduces into
+    (-1/2, 1/2].  On the lines x in {0, 1/2} both signs keep x, and the one
+    with y >= 0 wins.  Idempotent by construction.
     """
     x, y = _frac(x), _frac(y)
-    candidates = set()
-    for sign in (1, -1):
-        cx = (sign * x) % 1
-        if cx <= HALF:
-            cy = (sign * y) % 1
-            if cy > HALF:
-                cy -= 1
-            candidates.add((cx, cy))
-    nonneg = [c for c in candidates if c[1] >= 0]
-    cx, cy = min(nonneg) if nonneg else min(candidates)
+    cx = x % 1
+    if cx > HALF:
+        cx, y = 1 - cx, -y
+    cy = y % 1
+    if cy > HALF:
+        cy -= 1
+    if cy < 0 and (cx == 0 or cx == HALF):
+        cy = -cy
     return OrbPoint(cx, cy)
 
 
@@ -375,6 +374,13 @@ def postcritical_set(a: RatLike, limit: int = 4096) -> list[OrbPoint]:
     return sorted(formula)
 
 
+def halvings(points: Sequence[Vec]) -> list[tuple[Vec, ...]]:
+    """The point set under each of the four inverse branches of doubling,
+    p -> (p + (m, n)) / 2 for m, n in {0, 1}."""
+    return [tuple(((x + m) / 2, (y + n) / 2) for x, y in points)
+            for m in (0, 1) for n in (0, 1)]
+
+
 def preimages(a: RatLike, p: OrbPoint) -> list[tuple[OrbPoint, int]]:
     """All solutions q of f(q) = p with local degrees (degrees sum to 4).
 
@@ -383,12 +389,7 @@ def preimages(a: RatLike, p: OrbPoint) -> list[tuple[OrbPoint, int]]:
     four candidates are exactly the branch points and carry the multiplicity.
     """
     v = perturbation(a, p, inverse=True)
-    counts: dict[OrbPoint, int] = {}
-    for m in (0, 1):
-        for n in (0, 1):
-            q = orb_point((v.x + m) / 2, (v.y + n) / 2)
-            counts[q] = counts.get(q, 0) + 1
-    return sorted(counts.items())
+    return sorted(Counter(orb_point(*q) for (q,) in halvings(((v.x, v.y),))).items())
 
 
 # ---------------------------------------------------------------------------

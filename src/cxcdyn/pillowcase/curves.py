@@ -51,8 +51,7 @@ class LiftedCurve:
         return tuple(sorted({abs(p.y) for p in self.points}))
 
 
-def curve_preimage(a: RatLike, curve: Sequence[OrbPoint], tol: float = 1e-9,
-                   max_degree: int = 8) -> list[LiftedCurve]:
+def curve_preimage(a: RatLike, curve: Sequence[OrbPoint], tol: float = 1e-9) -> list[LiftedCurve]:
     """All connected preimage curves of a closed polyline, with degrees.
 
     Requires the curve to stay tol-clear of the postcritical set, which
@@ -99,7 +98,7 @@ def curve_preimage(a: RatLike, curve: Sequence[OrbPoint], tol: float = 1e-9,
                 remaining.discard(fibers[0].index(current))
                 if current == start:
                     break
-                if rounds >= max_degree:
+                if rounds >= 8:
                     raise ContinuationError("lift failed to close; refine the curve")
             points.append(current)
         lifts.append(LiftedCurve(points=tuple(points), degree=rounds))

@@ -6,11 +6,12 @@ two faces into nested tilings with 2 * 4^depth tiles at each depth.  Tiles
 and skeleton arcs are pulled back exactly: the corner-shuffle inverse (the
 affine atlas ``core.shuffle_atlas(a, inverse=True)``, shared with the
 pointwise maps) bends segments at six rational triangles, and the doubling
-inverse contributes four affine branches whose images are recanonicalized
-into the fundamental rectangle wholesale (no branch image ever straddles a
-fold line, because tiles stay inside closed faces and segments are split at
-y = 0 first).  Each image moves by one sign flip and integer shift, chosen
-from its bounding box and coordinate sums before any point is moved.
+inverse (``core.halvings``, shared with ``preimages``) contributes four affine
+branches whose images are recanonicalized into the fundamental rectangle
+wholesale (no branch image ever straddles a fold line, because tiles stay
+inside closed faces and ``_shuffle_back`` splits every segment at y = 0).
+Each image moves by one sign flip and integer shift, chosen from its
+bounding box and coordinate sums before any point is moved.
 """
 
 from __future__ import annotations
@@ -19,19 +20,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (HALF, IDENTITY_REGION, AffineRegion, RatLike, check_parameter, locate,
+from .core import (HALF, AffineRegion, RatLike, check_parameter, halvings, locate,
                    near_shuffle, orb_point, pillow_map, shuffle_atlas)
 
 Point = tuple[Fraction, Fraction]
 Segment = tuple[Point, Point]
+Line = tuple[Fraction, Fraction, Fraction]  # A, B, C with Ax + By = C
 
 
 _FOLD_LINE = (Fraction(0), Fraction(1), Fraction(0))  # y = 0, where branches fold
 
 
-def _split_lines(regions: Sequence[AffineRegion]) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Supporting lines (A, B, C with Ax + By = C) of all region edges,
-    plus the y = 0 line where the doubling branches fold."""
+def _split_lines(regions: Sequence[AffineRegion]) -> list[Line]:
+    """Supporting lines of all region edges, plus the y = 0 line where the
+    doubling branches fold."""
     lines = [_FOLD_LINE]
     for region in regions:
         tri = region.domain
@@ -42,8 +44,7 @@ def _split_lines(regions: Sequence[AffineRegion]) -> list[tuple[Fraction, Fracti
     return lines
 
 
-def _split_segment(p: Point, q: Point,
-                   lines: Sequence[tuple[Fraction, Fraction, Fraction]]) -> list[tuple[Point, Point]]:
+def _split_segment(p: Point, q: Point, lines: Sequence[Line]) -> list[Segment]:
     dx, dy = q[0] - p[0], q[1] - p[1]
     params = {Fraction(0), Fraction(1)}
     for av, bv, cv in lines:
@@ -90,12 +91,7 @@ def _canonical_placement(points: Sequence[Point]) -> tuple[Point, ...]:
 
 
 def _branch_images(points: Sequence[Point]) -> list[tuple[Point, ...]]:
-    images = []
-    for m in (0, 1):
-        for n in (0, 1):
-            halved = tuple(((x + m) / 2, (y + n) / 2) for x, y in points)
-            images.append(_canonical_placement(halved))
-    return images
+    return [_canonical_placement(halved) for halved in halvings(points)]
 
 
 # ---------------------------------------------------------------------------
@@ -145,32 +141,35 @@ def base_skeleton() -> tuple[Segment, ...]:
             ((HALF, z), (HALF, HALF)))    # right side edge
 
 
-def _pull_back_boundary(a: Fraction, vertices: Sequence[Point],
-                        regions: Sequence[AffineRegion],
-                        lines: Sequence[tuple[Fraction, Fraction, Fraction]]) -> list[Point]:
-    out: list[Point] = []
-    count = len(vertices)
-    for k in range(count):
-        u, v = vertices[k], vertices[(k + 1) % count]
-        if not near_shuffle(a, (u, v)):
-            if not out or u != out[-1]:
-                out.append(u)
-            continue
-        for p1, p2 in _split_segment(u, v, lines):
-            mid = ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2)
-            mapped = locate(regions, mid).apply(p1)
-            if not out or mapped != out[-1]:
-                out.append(mapped)
-    if out and out[0] == out[-1]:
-        out.pop()
-    return out
+def _shuffle_back(a: Fraction, p: Point, q: Point, regions: Sequence[AffineRegion],
+                  lines: Sequence[Line]) -> list[Segment]:
+    """Cut the segment pq into pieces and map each through the inverse shuffle.
+
+    Near the corner squares the cuts are at the atlas lines, and each piece
+    moves by the region holding its midpoint (an endpoint may lie on an edge
+    shared with the wrong region).  Elsewhere the shuffle is the identity and
+    the only cut is the fold line y = 0, so no piece's halvings straddle a fold.
+    """
+    if not near_shuffle(a, (p, q)):
+        return _split_segment(p, q, (_FOLD_LINE,))
+    pieces = []
+    for p1, p2 in _split_segment(p, q, lines):
+        region = locate(regions, ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2))
+        pieces.append((region.apply(p1), region.apply(p2)))
+    return pieces
 
 
-def tile_preimages(a: Fraction, tile: Tile,
-                   regions: Sequence[AffineRegion],
-                   lines: Sequence[tuple[Fraction, Fraction, Fraction]]) -> list[Tile]:
-    shuffled = _pull_back_boundary(a, tile.vertices, regions, lines)
-    return [Tile(vertices=img, face=tile.face) for img in _branch_images(shuffled)]
+def tile_preimages(a: Fraction, tile: Tile, regions: Sequence[AffineRegion],
+                   lines: Sequence[Line]) -> list[Tile]:
+    boundary: list[Point] = []
+    verts = tile.vertices
+    for k in range(len(verts)):
+        for start, _ in _shuffle_back(a, verts[k], verts[(k + 1) % len(verts)], regions, lines):
+            if not boundary or start != boundary[-1]:
+                boundary.append(start)
+    if boundary and boundary[0] == boundary[-1]:
+        boundary.pop()
+    return [Tile(vertices=img, face=tile.face) for img in _branch_images(boundary)]
 
 
 def _normalize_segment(p: Point, q: Point) -> Segment:
@@ -183,20 +182,10 @@ def _normalize_segment(p: Point, q: Point) -> Segment:
     return (p, q) if p <= q else (q, p)
 
 
-def segment_preimages(a: Fraction, seg: Segment,
-                      regions: Sequence[AffineRegion],
-                      lines: Sequence[tuple[Fraction, Fraction, Fraction]]) -> list[Segment]:
-    out = []
-    active = lines if near_shuffle(a, seg) else (_FOLD_LINE,)
-    for p1, p2 in _split_segment(seg[0], seg[1], active):
-        mid = ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2)
-        region = locate(regions, mid) if active is lines else IDENTITY_REGION
-        m1, m2 = region.apply(p1), region.apply(p2)
-        if m1 == m2:
-            continue
-        for img in _branch_images((m1, m2)):
-            out.append(_normalize_segment(img[0], img[1]))
-    return out
+def segment_preimages(a: Fraction, seg: Segment, regions: Sequence[AffineRegion],
+                      lines: Sequence[Line]) -> list[Segment]:
+    return [_normalize_segment(*img) for m1, m2 in _shuffle_back(a, *seg, regions, lines)
+            if m1 != m2 for img in _branch_images((m1, m2))]
 
 
 def skeleton_forward_invariance(a: RatLike, samples: int = 10**4) -> bool:

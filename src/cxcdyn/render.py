@@ -15,10 +15,10 @@ _LEVEL_STROKES = ("#1a1a1a", "#5b2a86", "#a23b72", "#2a9d8f",
                   "#e07a1f", "#4a6fa5", "#8a8635", "#777777", "#bbbbbb")
 
 
-def cover_strip_svg(sys: IntervalSystem, depth: int, width: int = 900,
-                    row_height: int = 28) -> str:
+def cover_strip_svg(sys: IntervalSystem, depth: int) -> str:
     """One row per cover depth, one rectangle per cylinder; each row is
     pulled back from the row above."""
+    width, row_height = 900, 28
     span_left = min(b.left for b in sys.bases)
     span_right = max(b.right for b in sys.bases)
     scale = width / (span_right - span_left)
@@ -46,7 +46,8 @@ def _svg_xy(x: Fraction, y: Fraction, scale: int) -> tuple[float, float]:
     return float(x) * scale, (0.5 - float(y)) * scale
 
 
-def tiling_svg(tiling: Tiling, scale: int = 800) -> str:
+def tiling_svg(tiling: Tiling) -> str:
+    scale = 800
     width, height = scale // 2, scale
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">']
@@ -76,9 +77,9 @@ def write_pgm(img: np.ndarray, path: str) -> None:
             handle.write(" ".join(str(int(v)) for v in row) + "\n")
 
 
-def points_pgm(points: Sequence[complex], resolution: int = 512,
-               margin: float = 0.05) -> np.ndarray:
+def points_pgm(points: Sequence[complex], resolution: int = 512) -> np.ndarray:
     """Raster a complex point cloud to a grayscale image (dark on light)."""
+    margin = 0.05
     xs = np.array([z.real for z in points])
     ys = np.array([z.imag for z in points])
     lo_x, hi_x = xs.min(), xs.max()

@@ -198,7 +198,7 @@ def skew_adapter(sys: IntervalSystem, arcs0: Optional[int] = None) -> Adapter:
 Interval = tuple[float, float]
 
 
-def dendrite_adapter(cover0: Sequence[Interval] = ((0.0, 1.1), (0.9, 2.0))) -> Adapter:
+def dendrite_adapter() -> Adapter:
 
     def evaluate(z: float) -> float:
         return 2.0 * z if z <= 1.0 else 4.0 - 2.0 * z
@@ -225,7 +225,7 @@ def dendrite_adapter(cover0: Sequence[Interval] = ((0.0, 1.1), (0.9, 2.0))) -> A
     return Adapter(
         name="dendrite-slice(1/2)",
         evaluate=evaluate,
-        initial_cover=lambda: [tuple(iv) for iv in cover0],
+        initial_cover=lambda: [(0.0, 1.1), (0.9, 2.0)],
         preimage_components=components,
         diameter=lambda iv: iv[1] - iv[0],
         metric=lambda z, w: abs(z - w),
@@ -304,13 +304,15 @@ def _xy(p: OrbPoint) -> np.ndarray:
     return np.array([float(p.x), float(p.y)])
 
 
-def pillowcase_adapter(a, resolution: int = 10, cover: str = "faces",
+def pillowcase_adapter(a, resolution: int, cover: str = "faces",
                        disk_radius: float = 0.15) -> Adapter:
     """Rasterized adapter; resolution is the dyadic exponent of the grid.
 
     Components are flood-filled on the grid (components meeting only at a
     cone point may merge: a documented rasterization approximation); degrees
-    come from exact fiber counts over a generic sampled cell center.
+    come from exact fiber counts over a generic sampled cell center.  An
+    element of one cell is not refined: its rasterized preimage is about one
+    cell again, so refining it is a ValueError naming the resolution.
     """
     grid = _PillowGrid(a, resolution)
 
@@ -334,6 +336,9 @@ def pillowcase_adapter(a, resolution: int = 10, cover: str = "faces",
         raise ValueError("cover must be 'faces' or 'disks'")
 
     def components(payload: frozenset[Cell]) -> list[tuple[frozenset[Cell], int]]:
+        if len(payload) == 1:
+            raise ValueError(f"cannot refine a single cell of the 2^-{resolution} grid; "
+                             "raise the resolution or lower the depth")
         flats = np.fromiter((grid.flat(c) for c in payload), dtype=np.int64,
                             count=len(payload))
         mask = np.isin(grid.image_map, flats)

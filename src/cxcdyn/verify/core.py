@@ -29,7 +29,8 @@ class Adapter:
     the map restricted to each piece.  ``distance_to_complement`` and
     ``outradius`` work in the same metric as ``metric``.
     The symbolic hooks (``forward_step``, ``covered_component``,
-    ``all_components``) are only needed by eventually_onto_check.
+    ``all_components``) are only needed by eventually_onto_check, which
+    needs hashable payloads.
     """
 
     name: str
@@ -272,18 +273,20 @@ def eventually_onto_check(adapter: Adapter, payload: Any, max_iter: int = 64) ->
     component of the repellor, tracked symbolically.
 
     Uses cumulative coverage: a component counts as reached once some
-    iterate's symbolic image contains its whole repellor piece.
+    iterate's symbolic image contains its whole repellor piece.  The state is
+    the set of distinct images, so a step costs one ``forward_step`` call per
+    distinct payload, however many paths reach it.
     """
     if adapter.forward_step is None or adapter.covered_component is None \
             or adapter.all_components is None:
         raise NotImplementedError(f"adapter {adapter.name} has no symbolic representation")
     needed = set(adapter.all_components)
-    state = [payload]
+    state = {payload}
     covered = {c for p in state if (c := adapter.covered_component(p)) is not None}
     if needed <= covered:
         return OntoResult(steps=0)
     for n in range(1, max_iter + 1):
-        state = [q for p in state for q in adapter.forward_step(p)]
+        state = {q for p in state for q in adapter.forward_step(p)}
         covered |= {c for p in state if (c := adapter.covered_component(p)) is not None}
         if needed <= covered:
             return OntoResult(steps=n)

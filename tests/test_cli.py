@@ -185,6 +185,25 @@ def test_verify_pillow_faces(capsys):
     assert code == 0 and payload["elements_per_level"] == [2, 8]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "pillow", "--a", "0"],  # depth 6 at resolution 6 reaches single cells
+    ["verify", "pillow", "--a", "1/8", "--resolution", "1", "--depth", "3"],
+])
+def test_verify_pillow_single_cells_exit_one(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert "single cell" in err and "resolution" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ifs", "overlap", "--lambda=-0.7,0.1", "--depth", "10"],
+    ["pillow", "preimages", "--a", "1/8", "--point=-1/4,1/3"],
+])
+def test_negative_values_joined_with_equals(capsys, argv):
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)
+
+
 def test_verify_menger(capsys):
     code, out, _ = run(capsys, ["verify", "menger", "--depth", "2",
                                 "--k", "2", "--n", "0"])
@@ -213,6 +232,8 @@ def test_distortion_csv_deterministic(capsys, graph_file, tmp_path):
     (["ifs", "compare", "--quadratic", "-2", "--n", "4"], "--lambda"),
     (["ifs", "reference", "--n", "4"], "--quadratic or --angle"),
     (["ifs", "compare", "--lambda", "1/2", "--n", "4"], "--quadratic or --angle"),
+    # a value starting with '-' reads as an option unless joined with '='
+    (["ifs", "overlap", "--lambda", "-0.7,0.1", "--depth", "4"], "--lambda"),
 ])
 def test_missing_action_argument_exits_two(capsys, graph_file, argv, flag):
     argv = [graph_file if arg == "GRAPH" else arg for arg in argv]

@@ -10,6 +10,7 @@ from cxcdyn.pillowcase import (CONE_POINTS, CRITICAL_POINTS, HSQUEEZE, SHEAR,
                                involution, mat_vec, orb_distance, orb_point,
                                perturbation, pillow_map, postcritical_set, preimages,
                                singular_values, tent, tent_orbit)
+from cxcdyn.pillowcase.core import halvings
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=64)
 
@@ -36,6 +37,36 @@ def test_orb_point_group_invariance(x, y, m, n, flip):
     p = orb_point(x, y)
     assert orb_point(p.x, p.y) == p  # idempotent
     assert 0 <= p.x <= F(1, 2) and F(-1, 2) < p.y <= F(1, 2)
+
+
+def candidate_set_orb_point(x, y):
+    """The candidate-set canonicalization ``orb_point`` replaced, kept as its
+    oracle: each sign whose reduced x lands in [0, 1/2] gives a candidate
+    with y reduced into (-1/2, 1/2]; the least candidate with y >= 0 wins,
+    else the least candidate."""
+    candidates = set()
+    for sign in (1, -1):
+        cx = (sign * x) % 1
+        if cx <= F(1, 2):
+            cy = (sign * y) % 1
+            if cy > F(1, 2):
+                cy -= 1
+            candidates.add((cx, cy))
+    nonneg = [c for c in candidates if c[1] >= 0]
+    return min(nonneg) if nonneg else min(candidates)
+
+
+# small denominators put many draws on the lines x in {0, 1/2} and on the
+# edges y = +-1/2; numerators span three periods either side of zero
+periodic_rationals = st.sampled_from([1, 2, 3, 4, 6, 8, 16, 64]).flatmap(
+    lambda d: st.integers(-3 * d, 3 * d).map(lambda n: F(n, d)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(periodic_rationals, periodic_rationals)
+def test_orb_point_matches_candidate_set_oracle(x, y):
+    p = orb_point(x, y)
+    assert (p.x, p.y) == candidate_set_orb_point(x, y)
 
 
 def test_orb_point_rejects_floats():
@@ -199,6 +230,16 @@ def test_preimages_degree_sums(eighth):
                       F(int(rng.integers(-denom, denom + 1)), denom))
         fiber = preimages(eighth, p)
         assert sum(d for _, d in fiber) == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(rationals, rationals)
+def test_halvings_are_the_inverse_branches_of_doubling(x, y):
+    images = halvings(((x, y), (y, x)))
+    assert len(images) == 4
+    for (p, q) in images:
+        assert doubling(orb_point(*p)) == orb_point(x, y)
+        assert doubling(orb_point(*q)) == orb_point(y, x)
 
 
 def test_preimages_of_moved_cone_point(eighth):

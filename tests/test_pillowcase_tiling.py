@@ -2,10 +2,12 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cxcdyn.pillowcase import skeleton_forward_invariance, subdivide
-from cxcdyn.pillowcase.tiling import _canonical_placement
+from cxcdyn.pillowcase import (orb_point, perturbation, shuffle_atlas,
+                               skeleton_forward_invariance, subdivide)
+from cxcdyn.pillowcase.tiling import (_canonical_placement, _shuffle_back, _split_lines,
+                                      _split_segment, segment_preimages)
 from cxcdyn.render import tiling_svg
 
 HALF = F(1, 2)
@@ -156,3 +158,50 @@ def test_straddling_set_has_no_placement(points):
         brute_force_placement(points)
     with pytest.raises(RuntimeError, match="straddles a fold line"):
         _canonical_placement(points)
+
+
+# --- the shuffle pull-back of segments --------------------------------------
+
+def _atlas(a):
+    regions = shuffle_atlas(a, inverse=True)
+    return regions, _split_lines(regions)
+
+
+@st.composite
+def corner_segments(draw):
+    """Segments with an end in a corner square, ends often on atlas lines."""
+    a = draw(st.sampled_from([F(1, 64), F(3, 40), F(1, 8)]))
+    sign = draw(st.sampled_from([1, -1]))
+    near = [HALF - a, HALF - a / 2, HALF, HALF - a / 4, HALF - 3 * a / 4]
+    corner = st.tuples(coordinate(HALF - a, HALF, near),
+                       coordinate(HALF - a, HALF, near).map(lambda y: sign * y))
+    anywhere = st.tuples(coordinate(F(0), HALF, near),
+                         coordinate(F(0), HALF, near).map(lambda y: sign * y))
+    return a, (draw(corner), draw(st.one_of(corner, anywhere)))
+
+
+# pieces that start on an edge shared with a region listed before their own
+@example((F(1, 8), ((F(7, 16), F(13, 32)), (F(7, 16), HALF))))
+@example((F(1, 8), ((F(7, 16), F(-13, 32)), (F(7, 16), -HALF))))
+@settings(max_examples=200, deadline=None)
+@given(corner_segments())
+def test_shuffle_back_is_the_pointwise_inverse_on_every_piece(case):
+    a, seg = case
+    regions, lines = _atlas(a)
+    pieces = _shuffle_back(a, *seg, regions, lines)
+    cuts = _split_segment(*seg, lines)
+    assert len(pieces) == len(cuts)
+    for (m1, m2), (p1, p2) in zip(pieces, cuts):
+        for m, p in ((m1, p1), (m2, p2)):
+            assert orb_point(*m) == perturbation(a, orb_point(*p), inverse=True)
+    assert all(m2 == n1 for (_, m2), (n1, _) in zip(pieces, pieces[1:]))
+
+
+@pytest.mark.parametrize("a", [F(0), F(1, 8)])
+def test_segment_across_the_fold_line_is_split_there(a):
+    regions, lines = _atlas(a)
+    low, mid, high = (F(1, 4), F(-1, 4)), (F(1, 4), F(0)), (F(1, 4), F(1, 4))
+    whole = segment_preimages(a, (low, high), regions, lines)
+    halves = (segment_preimages(a, (low, mid), regions, lines)
+              + segment_preimages(a, (mid, high), regions, lines))
+    assert len(whole) == 8 and sorted(whole) == sorted(halves)

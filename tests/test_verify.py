@@ -59,6 +59,17 @@ def test_pillowcase_resolution_below_one_rejected(resolution):
         pillowcase_adapter(0, resolution=resolution)
 
 
+def test_pillowcase_single_cells_are_not_refined():
+    adapter = pillowcase_adapter(0, resolution=3, cover="faces")
+    covers = build_covers(adapter, 2)
+    assert [len(level) for level in covers.levels] == [2, 8, 32]
+    assert all(len(e.payload) == 1 for e in covers.levels[2])
+    with pytest.raises(ValueError, match=r"single cell of the 2\^-3 grid"):
+        build_covers(adapter, 3)
+    with pytest.raises(ValueError, match="resolution"):
+        build_covers(pillowcase_adapter(0, resolution=1, cover="faces"), 1)
+
+
 # --- degrees ----------------------------------------------------------------
 
 def test_gdms_degrees_trivial(standard_system):
@@ -278,8 +289,27 @@ def test_onto_failure_is_a_value(standard_system):
     adapter = gdms_adapter(standard_system)
     covers = build_covers(adapter, 3)
     crippled = Adapter(**{**adapter.__dict__, "all_components": frozenset({1, 99})})
-    result = eventually_onto_check(crippled, covers.levels[3][0].payload, max_iter=5)
+    result = eventually_onto_check(crippled, covers.levels[3][0].payload)
     assert result.steps is None and not result.succeeded
+
+
+def test_onto_failure_costs_one_step_per_distinct_payload(standard_system):
+    adapter = gdms_adapter(standard_system)
+    calls = 0
+
+    def counted(payload):
+        nonlocal calls
+        calls += 1
+        return adapter.forward_step(payload)
+
+    covers = build_covers(adapter, 3)
+    crippled = Adapter(**{**adapter.__dict__, "forward_step": counted,
+                          "all_components": frozenset({1, 99})})
+    result = eventually_onto_check(crippled, covers.levels[3][0].payload, max_iter=12)
+    assert result.steps is None
+    # a depth-3 word shortens to the base cylinder, which maps to itself
+    # along both loops: one call per step, not one per path
+    assert calls == 12
 
 
 # --- visual metric fits -------------------------------------------------------
