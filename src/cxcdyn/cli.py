@@ -210,11 +210,9 @@ def _cmd_menger(args) -> int:
         result = menger.membership(params, floats, args.depth)
         payload = {"point": [str(c) for c in args.point], "status": result.status,
                    "level": result.level}
-        try:
+        if menger.digit_oracle_covers(params):
             exact = menger.digit_membership(params, args.point, args.depth)
             payload["digit_oracle"] = {"status": exact.status, "level": exact.level}
-        except ValueError:
-            pass  # oracle only covers the all-3 reflecting case
         _emit(payload)
         return 0
     if args.action == "slice":
@@ -224,21 +222,25 @@ def _cmd_menger(args) -> int:
         _emit({"resolution": args.resolution, "depth": args.depth, "out": args.out})
         return 0
     if args.action == "check":
+        if args.points < 0:
+            raise ValueError("points must be >= 0")
         rng = np.random.default_rng(args.seed)
-        disagreements = 0
-        unknown = 0
-        for _ in range(args.points):
-            point = tuple(Fraction(int(num), 3**8) for num in rng.integers(0, 3**8 + 1, params.k))
-            approx = menger.membership(params, [float(c) for c in point], args.depth)
-            if approx.status == "boundary_unknown":
-                unknown += 1
-                continue
-            exact = menger.digit_membership(params, point, args.depth)
-            if (approx.status, approx.level) != (exact.status, exact.level):
-                disagreements += 1
+        numerators = rng.integers(0, 3**8, (args.points, params.k), endpoint=True)
+        status, levels = menger.membership_array(params, numerators / 3**8, args.depth)
+        comparable = np.flatnonzero(status != menger.STATUSES.index("boundary_unknown"))
+        disagreements = None  # no exact oracle outside the all-3 reflect case
+        if menger.digit_oracle_covers(params):
+            disagreements = 0
+            for i in comparable:
+                exact = menger.digit_membership(
+                    params, [Fraction(int(num), 3**8) for num in numerators[i]], args.depth)
+                if (exact.status != menger.STATUSES[status[i]]
+                        or exact.status == "out" and exact.level != levels[i]):
+                    disagreements += 1
         dev_basic = menger.homothety_deviation(params, pairs=args.pairs, seed=args.seed)
         payload = {"points": args.points, "disagreements": disagreements,
-                   "boundary_unknown": unknown, "homothety_max_dev": dev_basic}
+                   "boundary_unknown": args.points - len(comparable),
+                   "homothety_max_dev": dev_basic}
         if params.k == 3:
             general = menger.MengerParams(n=params.n, k=3, factors=(3, 9, 3), mode=params.mode)
             payload["homothety_max_dev_generalized"] = menger.homothety_deviation(
@@ -480,7 +482,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.samples = defaults.get(args.action, 256)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as error:
+    except (ValueError, RuntimeError, OSError, OverflowError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

@@ -93,7 +93,7 @@ def membership(params: MengerParams, x: Sequence[float], depth: int,
     point = tuple(float(c) for c in x)
     if len(point) != params.k:
         raise ValueError("point dimension mismatch")
-    if any(c < 0.0 or c > 1.0 for c in point):
+    if not all(0.0 <= c <= 1.0 for c in point):  # NaN fails both comparisons
         raise ValueError("coordinates must lie in [0, 1]")
     need = params.n + 1
     for level in range(depth + 1):
@@ -107,30 +107,82 @@ def membership(params: MengerParams, x: Sequence[float], depth: int,
     return Membership(status="in")
 
 
+# the status codes of `membership_array` index this tuple
+STATUSES = ("in", "out", "boundary_unknown")
+
+
+def membership_array(params: MengerParams, points: np.ndarray, depth: int,
+                     tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """`membership` for an (N, k) array of points at once.
+
+    Returns per-point status codes (int8 indices into STATUSES) and levels,
+    with level -1 where `membership` gives None.  The iterates take the same
+    IEEE operations in the same order as `expanding_map`, so every verdict
+    equals the scalar one.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    live_points = np.asarray(points, dtype=float)
+    if live_points.ndim != 2 or live_points.shape[1] != params.k:
+        raise ValueError("point dimension mismatch")
+    if not np.all((live_points >= 0.0) & (live_points <= 1.0)):
+        raise ValueError("coordinates must lie in [0, 1]")
+    factors = np.array(params.factors, dtype=float)
+    need = params.n + 1
+    status = np.zeros(len(live_points), dtype=np.int8)
+    levels = np.full(len(live_points), -1)
+    live = np.arange(len(live_points))
+    for level in range(depth + 1):
+        inside = (1.0 / 3.0 + tol < live_points) & (live_points < 2.0 / 3.0 - tol)
+        near = (1.0 / 3.0 - tol < live_points) & (live_points < 2.0 / 3.0 + tol)
+        surely = inside.sum(axis=1) >= need
+        decided = surely | (near.sum(axis=1) >= need)
+        status[live[decided]] = np.where(surely[decided], 1, 2)
+        levels[live[decided]] = level
+        # a fresh array, so the map below never writes into the caller's
+        live, live_points = live[~decided], live_points[~decided]
+        live_points *= factors
+        if params.mode == "reflect":
+            np.remainder(live_points, 2.0, out=live_points)
+            np.subtract(2.0, live_points, out=live_points, where=live_points > 1.0)
+        else:
+            np.remainder(live_points, 1.0, out=live_points)
+    return status, levels
+
+
+def digit_oracle_covers(params: MengerParams) -> bool:
+    """True for the parameters `digit_membership` decides: all factors 3,
+    reflect mode."""
+    return params.mode == "reflect" and all(f == 3 for f in params.factors)
+
+
 def digit_membership(params: MengerParams, x: Sequence[Fraction], depth: int) -> Membership:
     """Exact oracle for the all-3 reflect case via base-3 digit windows.
 
     Valid because fold(3^l x) lands in the middle third exactly when the
     fractional part of 3^l x does; so the orbit test reduces to scanning
-    digit positions of the unfolded scaling.
+    digit positions of the unfolded scaling.  For c = p/q in lowest terms
+    that fractional part is r/q with r = 3^l p mod q, so the open window
+    1/3 < r/q < 2/3 is the integer test q < 3r < 2q.
     """
-    if params.mode != "reflect" or any(f != 3 for f in params.factors):
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if not digit_oracle_covers(params):
         raise ValueError("digit oracle only covers the all-3 reflect case")
-    coords = [Fraction(c) for c in x]
+    try:
+        coords = [Fraction(c) for c in x]
+    except (OverflowError, ValueError):  # an infinite or NaN float
+        raise ValueError("coordinates must lie in [0, 1]") from None
     if len(coords) != params.k:
         raise ValueError("point dimension mismatch")
     if any(c < 0 or c > 1 for c in coords):
         raise ValueError("coordinates must lie in [0, 1]")
-    lo, hi = Fraction(1, 3), Fraction(2, 3)
     need = params.n + 1
+    rests = [(c.numerator % c.denominator, c.denominator) for c in coords]
     for level in range(depth + 1):
-        middles = 0
-        for c in coords:
-            frac = (3**level * c) % 1
-            if lo < frac < hi:
-                middles += 1
-        if middles >= need:
+        if sum(1 for r, q in rests if q < 3 * r < 2 * q) >= need:
             return Membership(status="out", level=level)
+        rests = [(3 * r % q, q) for r, q in rests]
     return Membership(status="in")
 
 
@@ -155,50 +207,91 @@ def segment_clears_folds(params: MengerParams, x: Sequence[float], y: Sequence[f
     return True
 
 
-def homothety_deviation(params: MengerParams, pairs: int, seed: int = 0) -> float:
-    """Max |d(f x, f y) - 3 d(x, y)| over admissible sampled pairs.
+# homothety pairs live on the 2^-20 grid, where the integer scalings are
+# exact in binary floating point
+_GRID = 2**20
+_PROPOSALS_PER_PAIR = 4
+_BATCH = 4096
 
-    Pairs are dyadic (so the integer scalings are exact in binary floating
-    point), closer than 1/(2 max factor) in the snowflake metric, and clear
-    of every fold hyperplane.
+
+def homothety_deviation(params: MengerParams, pairs: int, seed: int = 0) -> float:
+    """Max |d(f x, f y) - 3 d(x, y)| over `pairs` sampled admissible pairs.
+
+    x is drawn from the 2^-20 grid points off every fold hyperplane, and
+    each coordinate y_i directly from the grid points strictly inside x_i's
+    scaling cell [c/f_i, (c+1)/f_i] and closer to x_i than bound^(1/e_i),
+    with bound = 1/(2 max factor) and e_i = log 3 / log f_i.  Every pair
+    must still pass both admissibility checks: snowflake distance below
+    bound, and clear of every fold hyperplane.  The cost is O(pairs): past
+    4 * pairs proposals this raises ValueError instead of sampling on.
     """
+    if pairs < 0:
+        raise ValueError("pairs must be >= 0")
+    if max(params.factors) >= _GRID:
+        raise ValueError("factors of 2^20 or more leave no scaling cell wider "
+                         "than the 2^-20 sampling grid")
     rng = np.random.default_rng(seed)
-    scale = 2**20
     bound = 1.0 / (2.0 * max(params.factors))
+    factors = np.array(params.factors, dtype=np.int64)
+    # the folds of f_i meet the grid in the multiples of period_i = 2^20 / g_i,
+    # g_i = gcd(f_i, 2^20): g_i + 1 grid points, leaving 2^20 - g_i off them
+    shared = np.gcd(factors, _GRID)
+    period = _GRID // shared
+    # the largest grid offset strictly inside the snowflake ball
+    reach = np.array([math.ceil(bound ** (1.0 / e) * _GRID) - 1 for e in params.exponents])
     worst = 0.0
-    found = 0
+    found = proposed = 0
     while found < pairs:
-        x = tuple(int(v) / scale for v in rng.integers(0, scale + 1, params.k))
-        offsets = rng.integers(-scale // 16, scale // 16 + 1, params.k)
-        y = tuple(min(max(a + int(o) / scale, 0.0), 1.0) for a, o in zip(x, offsets))
-        if snowflake_distance(params, x, y) >= bound:
-            continue
-        if not segment_clears_folds(params, x, y):
-            continue
-        found += 1
-        lhs = snowflake_distance(params, expanding_map(params, x), expanding_map(params, y))
-        rhs = 3.0 * snowflake_distance(params, x, y)
-        worst = max(worst, abs(lhs - rhs))
+        size = min(pairs - found, _BATCH, _PROPOSALS_PER_PAIR * pairs - proposed)
+        if size <= 0:
+            raise ValueError(f"only {found} of {proposed} proposals were admissible pairs")
+        proposed += size
+        # the t-th grid point that is not a multiple of the period
+        t = rng.integers(0, _GRID - shared, (size, params.k))
+        u = t + t // (period - 1) + 1
+        # the grid points strictly inside x's scaling cells [c/f, (c+1)/f]
+        cell = factors * u // _GRID
+        first = cell * _GRID // factors + 1
+        last = -(-(cell + 1) * _GRID // factors) - 1
+        v = rng.integers(np.maximum(u - reach, first), np.minimum(u + reach, last),
+                         endpoint=True)
+        for x, y in zip((u / _GRID).tolist(), (v / _GRID).tolist()):
+            if snowflake_distance(params, x, y) >= bound:
+                continue
+            if not segment_clears_folds(params, x, y):
+                continue
+            found += 1
+            lhs = snowflake_distance(params, expanding_map(params, x), expanding_map(params, y))
+            rhs = 3.0 * snowflake_distance(params, x, y)
+            worst = max(worst, abs(lhs - rhs))
     return worst
 
 
 def slice_raster(params: MengerParams, depth: int, resolution: int,
                  axis: int = 2, value: float = 0.0) -> np.ndarray:
-    """Grayscale membership raster of a 2D slice (levels map to shades)."""
+    """Grayscale membership raster of a 2D slice (levels map to shades).
+
+    The slice fixes coordinate `axis` at `value` and spans the first two
+    other coordinates at the pixel centers; a square (k = 2) is its own
+    slice, with axis 2.
+    """
     if params.k < 2:
         raise ValueError("need k >= 2 to slice")
-    img = np.zeros((resolution, resolution), dtype=np.uint8)
+    if not (axis == 2 if params.k == 2 else 0 <= axis < params.k):
+        raise ValueError(f"axis must be in 0..{params.k - 1}" if params.k > 2
+                         else "a square is its own slice: axis must be 2")
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError("slice value must lie in [0, 1]")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     free = [i for i in range(params.k) if i != axis][:2]
-    for row in range(resolution):
-        for col in range(resolution):
-            point = [value] * params.k
-            point[free[0]] = (col + 0.5) / resolution
-            point[free[1]] = (row + 0.5) / resolution
-            m = membership(params, point, depth)
-            if m.status == "in":
-                img[row, col] = 0
-            elif m.status == "out":
-                img[row, col] = 255 - min(m.level, depth) * (128 // (depth + 1))
-            else:
-                img[row, col] = 128
-    return img
+    centers = (np.arange(resolution) + 0.5) / resolution
+    grid = np.full((resolution, resolution, params.k), float(value))
+    grid[:, :, free[0]] = centers[np.newaxis, :]
+    grid[:, :, free[1]] = centers[:, np.newaxis]
+    status, levels = membership_array(params, grid.reshape(-1, params.k), depth)
+    shade = 255 - np.minimum(levels, depth) * (128 // (depth + 1))
+    img = np.choose(status, (0, shade, 128))  # in, out(level), boundary_unknown
+    return img.astype(np.uint8).reshape(resolution, resolution)

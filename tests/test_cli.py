@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cxcdyn.cli import main
 
@@ -284,8 +290,84 @@ def test_zero_denominator_is_a_usage_error(capsys, graph_file, argv):
     (["menger", "member", "--point", "1/2,1/2"], "dimension"),
     (["verify", "pillow", "--resolution", "0"], "resolution"),
     (["verify", "pillow", "--resolution", "-1"], "resolution"),
+    (["menger", "member", "--point", "1e400,0,0"], "too large"),
+    (["menger", "slice", "--axis", "7", "--out", "OUT"], "axis"),
+    (["menger", "slice", "--k", "2", "--n", "0", "--axis", "0", "--out", "OUT"], "axis"),
+    (["menger", "slice", "--resolution", "0", "--out", "OUT"], "resolution"),
+    (["menger", "slice", "--value", "3/2", "--out", "OUT"], "value"),
+    (["menger", "check", "--points", "-1"], "points"),
+    (["menger", "check", "--points", "10", "--pairs", "-1"], "pairs"),
+    (["menger", "check", "--points", "10", "--factors", "3,2097152,3"], "2^20"),
 ])
-def test_malformed_point_or_grid_exits_one(capsys, argv, message):
-    code, out, err = run(capsys, argv)
+def test_malformed_point_or_grid_exits_one(capsys, tmp_path, argv, message):
+    out_path = tmp_path / "unused.pgm"
+    code, out, err = run(capsys, [str(out_path) if arg == "OUT" else arg for arg in argv])
+    assert not out_path.exists()
     assert code == 1 and out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv, unknown", [([], 122), (["--k", "5", "--n", "2"], 182),
+                                            (["--depth", "7", "--seed", "3"], 464)])
+def test_menger_check_counts_pinned(capsys, argv, unknown):
+    """`boundary_unknown` as the point-by-point `membership` loop counted it."""
+    code, out, _ = run(capsys, ["menger", "check", "--points", "3000", "--pairs", "200"] + argv)
+    payload = json.loads(out)
+    assert code == 0 and payload["disagreements"] == 0
+    assert payload["boundary_unknown"] == unknown
+
+
+def test_menger_check_outside_the_digit_oracle(capsys):
+    """Factors other than all 3 have no exact oracle: `check` reports no
+    disagreement count, and the sampler finishes even for steep factors."""
+    code, out, _ = run(capsys, ["menger", "check", "--factors", "3,27,3",
+                                "--points", "500", "--pairs", "2000"])
+    payload = json.loads(out)
+    assert code == 0 and payload["disagreements"] is None
+    assert 0 < payload["boundary_unknown"] < 500
+    assert payload["homothety_max_dev"] <= 1e-12
+    assert payload["homothety_max_dev_generalized"] <= 1e-12
+
+
+_UNIT = st.fractions(min_value=0, max_value=1, max_denominator=3**6).map(str)
+_COORDINATE = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=3**6).map(str),
+    st.sampled_from(["0", "1", "1/3", "2/3", "1e400", "-1e400", "nan", "inf", "1/0", "x", ""]))
+_FACTOR = st.one_of(st.integers(3, 30), st.sampled_from([2**19, 2**20, 10**20])).map(str)
+_BAD_FACTOR = st.one_of(st.integers(-2, 2).map(str),
+                        st.sampled_from(["1" + "0" * 400, "3.5", "x", ""]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), action=st.sampled_from(["member", "slice", "check"]),
+       k=st.sampled_from([3, 3, 3, 2, 4, 1]), n=st.sampled_from([1, 1, 0, 0, 2]),
+       mode=st.sampled_from(["reflect", "translate"]), depth=st.integers(-1, 8),
+       axis=st.sampled_from([2, 2, 2, 0, 1, -1, 3, 4]), resolution=st.integers(-1, 40),
+       value=st.one_of(_UNIT, _UNIT, _UNIT, _COORDINATE), pairs=st.integers(-1, 300),
+       points=st.integers(-1, 50))
+def test_menger_cli_fuzz(data, action, k, n, mode, depth, axis, resolution, value, pairs,
+                         points):
+    """Every `menger` invocation ends in exit 0, 1 or 2, never in a traceback.
+    Depth, resolution, points and pairs stay small, so a run over 5 s means
+    an unbounded loop."""
+    valid = st.lists(_FACTOR, min_size=k, max_size=k)
+    factors = data.draw(st.one_of(st.none(), st.none(), valid, valid,
+                                  st.lists(st.one_of(_FACTOR, _BAD_FACTOR), min_size=1,
+                                           max_size=5)))
+    point = data.draw(st.one_of(st.lists(_UNIT, min_size=k, max_size=k),
+                                st.lists(_COORDINATE, min_size=1, max_size=5)))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["menger", action, f"--k={k}", f"--n={n}", f"--mode={mode}",
+                f"--depth={depth}", f"--axis={axis}", f"--resolution={resolution}",
+                f"--value={value}", f"--pairs={pairs}", f"--points={points}",
+                f"--point={','.join(point)}", f"--out={os.path.join(tmp, 'slice.pgm')}"]
+        if factors is not None:
+            argv.append(f"--factors={','.join(factors)}")
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+    assert code in (0, 1, 2)
+    assert time.perf_counter() - start < 5.0
