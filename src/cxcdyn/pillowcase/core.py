@@ -430,6 +430,8 @@ def differential_report(a: RatLike, samples: int = 10**4, seed: int = 0) -> Diff
     a = check_parameter(a)
     if a == 0:
         raise ValueError("the certificate concerns the perturbed maps; need a > 0")
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     corner = corner_pieces(a)
     pieces = [ReportPiece(f"corner:{p.name}", p.matrix, "corner square piece",
                           singular_values(p.matrix)) for p in corner]

@@ -37,6 +37,8 @@ def horizontal_curve(height: RatLike, samples_per_side: int = 64) -> list[OrbPoi
     if not (0 < h < Fraction(1, 2)):
         raise ValueError("height must lie strictly between 0 and 1/2")
     s = samples_per_side
+    if s < 2:
+        raise ValueError(f"need at least 2 samples per side, got {s}")
     out = [orb_point(Fraction(k, 2 * s), h) for k in range(s + 1)]
     back = [orb_point(Fraction(k, 2 * s), -h) for k in range(s - 1, 0, -1)]
     return out + back

@@ -2,14 +2,15 @@
 
 The one-skeleton (the two horizontal edges plus the two side edges of the
 pillowcase) is forward invariant, so its iterated preimages subdivide the
-two faces into nested tilings with 2 * 4^depth tiles at each depth.  Tiles
-and skeleton arcs are pulled back exactly: the corner-shuffle inverse (the
-affine atlas ``core.shuffle_atlas(a, inverse=True)``, shared with the
-pointwise maps) bends segments at six rational triangles, and the doubling
-inverse (``core.halvings``, shared with ``preimages``) contributes four affine
+two faces into nested tilings with 2 * 4^depth tiles at each depth; the
+skeleton at level k is the edge set of the depth-k tiles.  Tiles are pulled
+back exactly: the corner-shuffle inverse (the affine atlas
+``core.shuffle_atlas(a, inverse=True)``, shared with the pointwise maps)
+bends edges at six rational triangles, and the doubling inverse
+(``core.halvings``, shared with ``preimages``) contributes four affine
 branches whose images are recanonicalized into the fundamental rectangle
 wholesale (no branch image ever straddles a fold line, because tiles stay
-inside closed faces and ``_shuffle_back`` splits every segment at y = 0).
+inside closed faces and ``_shuffle_back`` splits every edge at y = 0).
 Each image moves by one sign flip and integer shift, chosen from its
 bounding box and coordinate sums before any point is moved.
 """
@@ -90,10 +91,6 @@ def _canonical_placement(points: Sequence[Point]) -> tuple[Point, ...]:
     return tuple((sign * x + sx, sign * y + sy) for x, y in points)
 
 
-def _branch_images(points: Sequence[Point]) -> list[tuple[Point, ...]]:
-    return [_canonical_placement(halved) for halved in halvings(points)]
-
-
 # ---------------------------------------------------------------------------
 # tiles and the tiling
 
@@ -169,7 +166,8 @@ def tile_preimages(a: Fraction, tile: Tile, regions: Sequence[AffineRegion],
                 boundary.append(start)
     if boundary and boundary[0] == boundary[-1]:
         boundary.pop()
-    return [Tile(vertices=img, face=tile.face) for img in _branch_images(boundary)]
+    return [Tile(vertices=_canonical_placement(halved), face=tile.face)
+            for halved in halvings(boundary)]
 
 
 def _normalize_segment(p: Point, q: Point) -> Segment:
@@ -182,16 +180,12 @@ def _normalize_segment(p: Point, q: Point) -> Segment:
     return (p, q) if p <= q else (q, p)
 
 
-def segment_preimages(a: Fraction, seg: Segment, regions: Sequence[AffineRegion],
-                      lines: Sequence[Line]) -> list[Segment]:
-    return [_normalize_segment(*img) for m1, m2 in _shuffle_back(a, *seg, regions, lines)
-            if m1 != m2 for img in _branch_images((m1, m2))]
-
-
 def skeleton_forward_invariance(a: RatLike, samples: int = 10**4) -> bool:
     """Sample rational points on the four edges and check their images stay
     on the skeleton (a canonical coordinate pinned to 0 or 1/2), exactly."""
     a = check_parameter(a)
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     per_edge = max(2, samples // 4)
     on_skeleton = []
     for k in range(per_edge):
@@ -211,7 +205,7 @@ class Tiling:
     a: Fraction
     depth: int
     cells: tuple[Tile, ...]
-    skeleton: tuple[tuple[Segment, ...], ...]  # cumulative pullback per level
+    skeleton: tuple[tuple[Segment, ...], ...]  # level k: the edges of the depth-k tiles
 
     @property
     def tile_count(self) -> int:
@@ -222,7 +216,8 @@ class Tiling:
 
 
 def subdivide(a: RatLike, depth: int, invariance_samples: int = 256) -> Tiling:
-    """Pull the cell structure back ``depth`` times.
+    """Pull the tiles back ``depth`` times; skeleton level k is the edge set of
+    the depth-k tiles (level 0 keeps the order of ``base_skeleton``).
 
     Forward invariance of the skeleton is the precondition making the
     pullback a subdivision; it is sampled exactly before any work happens.
@@ -237,12 +232,12 @@ def subdivide(a: RatLike, depth: int, invariance_samples: int = 256) -> Tiling:
     regions = shuffle_atlas(a, inverse=True)
     lines = _split_lines(regions)
     tiles = list(base_faces())
-    levels: list[tuple[Segment, ...]] = [tuple(base_skeleton())]
+    levels = [base_skeleton()]
     for _ in range(depth):
         tiles = [child for tile in tiles
                  for child in tile_preimages(a, tile, regions, lines)]
-        pulled = {child for seg in levels[-1]
-                  for child in segment_preimages(a, seg, regions, lines)}
-        levels.append(tuple(sorted(pulled)))
+        edges = {_normalize_segment(p, q) for t in tiles
+                 for p, q in zip(t.vertices, t.vertices[1:] + t.vertices[:1])}
+        levels.append(tuple(sorted(edges)))
     cells = tuple(sorted(tiles, key=lambda t: t.centroid()))
     return Tiling(a=a, depth=depth, cells=cells, skeleton=tuple(levels))

@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,6 +299,13 @@ def test_zero_denominator_is_a_usage_error(capsys, graph_file, argv):
     (["menger", "check", "--points", "-1"], "points"),
     (["menger", "check", "--points", "10", "--pairs", "-1"], "pairs"),
     (["menger", "check", "--points", "10", "--factors", "3,2097152,3"], "2^20"),
+    (["pillow", "obstruct", "--a", "1/8", "--samples", "0"], "samples"),
+    (["pillow", "obstruct", "--a", "1/8", "--samples", "1"], "samples"),
+    (["pillow", "obstruct", "--a", "1/8", "--samples", "-2"], "samples"),
+    (["pillow", "diff", "--a", "1/8", "--samples", "-1"], "samples"),
+    (["pillow", "invariance", "--a", "1/8", "--samples", "0"], "samples"),
+    (["pillow", "subdivide", "--a", "1/8", "--depth", "1", "--samples", "-3", "--out", "OUT"],
+     "samples"),
 ])
 def test_malformed_point_or_grid_exits_one(capsys, tmp_path, argv, message):
     out_path = tmp_path / "unused.pgm"
@@ -327,6 +335,18 @@ def test_menger_check_outside_the_digit_oracle(capsys):
     assert 0 < payload["boundary_unknown"] < 500
     assert payload["homothety_max_dev"] <= 1e-12
     assert payload["homothety_max_dev_generalized"] <= 1e-12
+
+
+def assert_ends_cleanly(argv):
+    """One invocation ends in exit 0, 1 or 2 within 5 s; its output is dropped."""
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    assert code in (0, 1, 2)
+    assert time.perf_counter() - start < 5.0
 
 
 _UNIT = st.fractions(min_value=0, max_value=1, max_denominator=3**6).map(str)
@@ -363,11 +383,37 @@ def test_menger_cli_fuzz(data, action, k, n, mode, depth, axis, resolution, valu
                 f"--point={','.join(point)}", f"--out={os.path.join(tmp, 'slice.pgm')}"]
         if factors is not None:
             argv.append(f"--factors={','.join(factors)}")
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exit_:
-                code = exit_.code
-    assert code in (0, 1, 2)
-    assert time.perf_counter() - start < 5.0
+        assert_ends_cleanly(argv)
+
+
+_VALID_PARAMETER = st.fractions(min_value=0, max_value=Fraction(1, 8),
+                                max_denominator=1000).map(str)
+_PARAMETER = st.one_of(
+    _VALID_PARAMETER, _VALID_PARAMETER, _VALID_PARAMETER,
+    st.fractions(min_value=-1, max_value=1, max_denominator=64).map(str),
+    st.sampled_from(["0", "1/8", "0.125", "0.1", "1e-3", "1e400", "-0.0", "nan", "inf", "1/0",
+                     "1/8/2", "x", ""]))
+_VALID_POINT = st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=64).map(str),
+                        min_size=2, max_size=2)
+_PILLOW_POINT = st.one_of(
+    _VALID_POINT, _VALID_POINT,
+    st.lists(st.one_of(st.fractions(min_value=-2, max_value=2, max_denominator=64).map(str),
+                       st.sampled_from(["0.5", "1e400", "nan", "inf", "1/0", "x", ""])),
+             min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(action=st.sampled_from(["subdivide", "pcs", "obstruct", "diff", "preimages",
+                               "invariance"]),
+       a=_PARAMETER, depth=st.integers(0, 2),
+       samples=st.one_of(st.integers(1, 64), st.integers(-3, 64)),
+       point=st.one_of(st.none(), _PILLOW_POINT))
+def test_pillow_cli_fuzz(action, a, depth, samples, point):
+    """Every `pillow` invocation ends in exit 0, 1 or 2, never in a traceback.
+    Depth and samples stay small, so a run over 5 s means an unbounded loop."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["pillow", action, f"--a={a}", f"--depth={depth}", f"--samples={samples}",
+                f"--out={os.path.join(tmp, 'tiling.svg')}"]
+        if point is not None:
+            argv.append(f"--point={','.join(point)}")
+        assert_ends_cleanly(argv)

@@ -8,6 +8,12 @@ from cxcdyn.pillowcase import (ContinuationError, curve_preimage, horizontal_cur
                                orb_point, postcritical_set, thurston_matrix)
 
 
+@pytest.mark.parametrize("samples", [-2, 0, 1])
+def test_horizontal_curve_needs_two_samples_per_side(samples):
+    with pytest.raises(ValueError, match="2 samples per side"):
+        horizontal_curve(F(1, 4), samples_per_side=samples)
+
+
 def test_horizontal_curve_shape():
     curve = horizontal_curve(F(1, 4), samples_per_side=8)
     assert len(curve) == 16

@@ -4,10 +4,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cxcdyn.pillowcase import (orb_point, perturbation, shuffle_atlas,
-                               skeleton_forward_invariance, subdivide)
-from cxcdyn.pillowcase.tiling import (_canonical_placement, _shuffle_back, _split_lines,
-                                      _split_segment, segment_preimages)
+from cxcdyn.pillowcase import (Tiling, base_faces, base_skeleton, orb_point, perturbation,
+                               shuffle_atlas, skeleton_forward_invariance, subdivide)
+from cxcdyn.pillowcase.core import halvings
+from cxcdyn.pillowcase.tiling import (_canonical_placement, _normalize_segment, _shuffle_back,
+                                      _split_lines, _split_segment, tile_preimages)
 from cxcdyn.render import tiling_svg
 
 HALF = F(1, 2)
@@ -76,6 +77,10 @@ def test_tiles_sorted_by_centroid(eighth):
     assert centroids == sorted(centroids)
 
 
+def svg_digest(a, depth):
+    return hashlib.sha256(tiling_svg(subdivide(a, depth)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("a, digest", [
     (F(0), "dd8fcaffe7d1721fa519145df990b61e15b61620db409305ce957820e0cdcb6d"),
     (F(1, 64), "36f161b63b574ac7bb60a1033a934171e16af741b5ee0ae12f090499a02311c1"),
@@ -83,8 +88,15 @@ def test_tiles_sorted_by_centroid(eighth):
     (F(1, 8), "1ce90b35cc3c0cc7c16edbf2e10936616cf8c2e4bb118e45db8d3909943c492a"),
 ])
 def test_depth_three_svg_pinned(a, digest):
-    svg = tiling_svg(subdivide(a, 3))
-    assert hashlib.sha256(svg.encode()).hexdigest() == digest
+    assert svg_digest(a, 3) == digest
+
+
+@pytest.mark.parametrize("a, digest", [
+    (F(1, 64), "252fc82c56864875859591e0c86d9f3f9b04e3d1fb24e2cd74d326bd01b25afb"),
+    (F(1, 8), "3e1d15f9a1a867e69b224a3c658778837057d19aff469334ae0a5ca939b287db"),
+])
+def test_depth_four_svg_pinned(a, digest):
+    assert svg_digest(a, 4) == digest
 
 
 # --- canonical placement against the 18-candidate oracle -------------------
@@ -197,11 +209,45 @@ def test_shuffle_back_is_the_pointwise_inverse_on_every_piece(case):
     assert all(m2 == n1 for (_, m2), (n1, _) in zip(pieces, pieces[1:]))
 
 
+def segment_pullback(a, seg, regions, lines):
+    """The preimages of a segment: its pieces under the inverse shuffle, each
+    halved by the four doubling branches and placed in the fundamental
+    rectangle, as normalized segments."""
+    return [_normalize_segment(*_canonical_placement(halved))
+            for m1, m2 in _shuffle_back(a, *seg, regions, lines) if m1 != m2
+            for halved in halvings((m1, m2))]
+
+
 @pytest.mark.parametrize("a", [F(0), F(1, 8)])
 def test_segment_across_the_fold_line_is_split_there(a):
     regions, lines = _atlas(a)
     low, mid, high = (F(1, 4), F(-1, 4)), (F(1, 4), F(0)), (F(1, 4), F(1, 4))
-    whole = segment_preimages(a, (low, high), regions, lines)
-    halves = (segment_preimages(a, (low, mid), regions, lines)
-              + segment_preimages(a, (mid, high), regions, lines))
+    whole = segment_pullback(a, (low, high), regions, lines)
+    halves = (segment_pullback(a, (low, mid), regions, lines)
+              + segment_pullback(a, (mid, high), regions, lines))
     assert len(whole) == 8 and sorted(whole) == sorted(halves)
+
+
+# --- the skeleton against its own pullback -----------------------------------
+
+def two_pullback_tilings(a, depth):
+    """The tilings of depth 0..depth with every skeleton level pulled back
+    from the level above, segment by segment, instead of read off the tile
+    edges."""
+    regions, lines = _atlas(a)
+    tiles, levels = list(base_faces()), [base_skeleton()]
+    for level in range(depth + 1):
+        if level:
+            tiles = [child for tile in tiles
+                     for child in tile_preimages(a, tile, regions, lines)]
+            levels.append(tuple(sorted({child for seg in levels[-1]
+                                        for child in segment_pullback(a, seg, regions, lines)})))
+        cells = tuple(sorted(tiles, key=lambda t: t.centroid()))
+        yield Tiling(a=a, depth=level, cells=cells, skeleton=tuple(levels))
+
+
+@pytest.mark.parametrize("a, depth", [(F(0), 3), (F(1, 64), 3), (F(3, 40), 3), (F(1, 10), 3),
+                                      (F(1, 8), 4)])
+def test_skeleton_levels_are_the_pulled_back_skeleton(a, depth):
+    for reference in two_pullback_tilings(a, depth):
+        assert subdivide(a, reference.depth) == reference
