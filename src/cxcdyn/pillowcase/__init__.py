@@ -10,7 +10,7 @@ from .core import (CONE_POINTS, CRITICAL_POINTS, AffinePiece, AffineRegion,
 from .curves import (ContinuationError, LiftedCurve, ObstructionReport, ThurstonReport,
                      curve_preimage, horizontal_curve, horizontal_isotopic,
                      is_horizontal, obstruction_report, thurston_matrix)
-from .tiling import (Tile, Tiling, base_faces, base_skeleton,
+from .tiling import (LatticeError, Tile, Tiling, base_faces, base_skeleton,
                      skeleton_forward_invariance, subdivide)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,6 +13,7 @@ Floats appear only in distances and in singular values.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -231,12 +232,13 @@ class AffineRegion:
 IDENTITY_REGION = AffineRegion((), mat(1, 0, 0, 1), (Fraction(0), Fraction(0)))
 
 
-def shuffle_atlas(a: Fraction, inverse: bool = False) -> list[AffineRegion]:
-    """Affine pieces of the shuffle (or of its inverse) on both corner squares:
-    each corner piece moved to the square at (1/2, 1/2), then its conjugate by
-    y -> -y.  Off the union of the domains the shuffle is the identity."""
+@functools.lru_cache(maxsize=64)
+def shuffle_atlas(a: Fraction, inverse: bool = False) -> tuple[AffineRegion, ...]:
+    """Affine pieces of the shuffle (or of its inverse) on both corner squares,
+    built once per (a, inverse): each corner piece moved to the square at
+    (1/2, 1/2), then its conjugate by y -> -y; the identity off their union."""
     if a == 0:
-        return []
+        return ()
     shift = HALF - a
     regions = []
     for piece in corner_pieces(a):
@@ -251,7 +253,7 @@ def shuffle_atlas(a: Fraction, inverse: bool = False) -> list[AffineRegion]:
         regions.append(AffineRegion(domain=(mirrored[0], mirrored[2], mirrored[1]),
                                     matrix=((m[0][0], -m[0][1]), (-m[1][0], m[1][1])),
                                     offset=(offset[0], -offset[1])))
-    return regions
+    return tuple(regions)
 
 
 def locate(regions: Sequence[AffineRegion], p: Vec) -> AffineRegion:
@@ -262,31 +264,33 @@ def locate(regions: Sequence[AffineRegion], p: Vec) -> AffineRegion:
     return IDENTITY_REGION
 
 
-def near_shuffle(a: Fraction, points: Sequence[Vec]) -> bool:
-    """Bounding-box test of points of [0, 1/2] x [-1/2, 1/2] against the two
-    corner squares.  A point set that misses it is fixed by the shuffle; for a
-    single point the test is exact membership in the squares."""
-    if a == 0:
-        return False
-    if max(x for x, _ in points) < HALF - a:
-        return False
-    ys = [y for _, y in points]
-    return max(ys) >= HALF - a or min(ys) <= -HALF + a
+def near_shuffle(a: Fraction, v: Vec) -> bool:
+    """Whether v in [0, 1/2] x [-1/2, 1/2] lies in one of the corner squares,
+    outside which the shuffle is the identity."""
+    return a != 0 and v[0] >= HALF - a and abs(v[1]) >= HALF - a
+
+
+def _shuffle(a: Fraction, p: OrbPoint, inverse: bool = False) -> OrbPoint:
+    v = (p.x, p.y)
+    if not near_shuffle(a, v):
+        return p
+    return orb_point(*locate(shuffle_atlas(a, inverse), v).apply(v))
 
 
 def perturbation(a: RatLike, p: OrbPoint, inverse: bool = False) -> OrbPoint:
     """The symmetric homeomorphism supported on the corner square and its
     reflection; the identity elsewhere."""
-    a = check_parameter(a)
-    v = (p.x, p.y)
-    if not near_shuffle(a, (v,)):
-        return p
-    return orb_point(*locate(shuffle_atlas(a, inverse), v).apply(v))
+    return _shuffle(check_parameter(a), p, inverse)
+
+
+def _pillow_map(a: Fraction, p: OrbPoint) -> OrbPoint:
+    """``pillow_map`` for an ``a`` already validated, for loops over points."""
+    return _shuffle(a, doubling(p))
 
 
 def pillow_map(a: RatLike, p: OrbPoint) -> OrbPoint:
     """One member of the family: the corner shuffle after doubling."""
-    return perturbation(a, doubling(p))
+    return _pillow_map(check_parameter(a), p)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +340,7 @@ def tent_orbit(a: RatLike, limit: int = 4096) -> TentOrbit:
 def critical_values(a: RatLike) -> list[OrbPoint]:
     """Images of the six branch points, deduplicated."""
     a = check_parameter(a)
-    return sorted({pillow_map(a, c) for c in CRITICAL_POINTS})
+    return sorted({_pillow_map(a, c) for c in CRITICAL_POINTS})
 
 
 def _forward_closure(a: Fraction, seeds: Iterable[OrbPoint], limit: int = 4096) -> set[OrbPoint]:
@@ -348,7 +352,7 @@ def _forward_closure(a: Fraction, seeds: Iterable[OrbPoint], limit: int = 4096) 
         if p in closure:
             continue
         closure.add(p)
-        frontier.append(pillow_map(a, p))
+        frontier.append(_pillow_map(a, p))
         steps += 1
         if steps > limit:
             raise RuntimeError("forward closure did not saturate; raise the limit")
@@ -453,9 +457,9 @@ def differential_report(a: RatLike, samples: int = 10**4, seed: int = 0) -> Diff
         u = Fraction(int(rng.integers(0, denom + 1)), denom) * a
         v = Fraction(int(rng.integers(0, denom + 1)), denom) * a
         p = orb_point(HALF - a + u, HALF - a + v)
-        image = pillow_map(a, p)
+        image = _pillow_map(a, p)
         checked += 1
-        if near_shuffle(a, ((image.x, image.y),)):
+        if near_shuffle(a, (image.x, image.y)):
             sampled_ok = False
             break
     disjoint = bool(exact_disjoint and sampled_ok)
@@ -480,5 +484,5 @@ def family_deviation(a1: RatLike, a2: RatLike, grid: int = 24) -> float:
     for i in range(grid + 1):
         for jj in range(2 * grid + 1):
             p = orb_point(Fraction(i, 2 * grid), Fraction(jj - grid, 2 * grid))
-            worst = max(worst, orb_distance(pillow_map(a1, p), pillow_map(a2, p)))
+            worst = max(worst, orb_distance(_pillow_map(a1, p), _pillow_map(a2, p)))
     return worst

@@ -3,84 +3,161 @@
 The one-skeleton (the two horizontal edges plus the two side edges of the
 pillowcase) is forward invariant, so its iterated preimages subdivide the
 two faces into nested tilings with 2 * 4^depth tiles at each depth; the
-skeleton at level k is the edge set of the depth-k tiles.  Tiles are pulled
-back exactly: the corner-shuffle inverse (the affine atlas
-``core.shuffle_atlas(a, inverse=True)``, shared with the pointwise maps)
-bends edges at six rational triangles, and the doubling inverse
-(``core.halvings``, shared with ``preimages``) contributes four affine
-branches whose images are recanonicalized into the fundamental rectangle
-wholesale (no branch image ever straddles a fold line, because tiles stay
-inside closed faces and ``_shuffle_back`` splits every edge at y = 0).
-Each image moves by one sign flip and integer shift, chosen from its
-bounding box and coordinate sums before any point is moved.
+skeleton at level k is the edge set of the depth-k tiles.  A tile is pulled
+back through the inverse corner shuffle (``core.shuffle_atlas(a, inverse=True)``,
+which bends edges at six rational triangles) and the four inverse branches
+of doubling, each image placed in the fundamental rectangle wholesale.
+
+The pullback runs on integer numerators (X, Y) over one denominator
+S = den(a) * 2^(2 depth + 2) per tiling.  Every division in it is checked, and
+one that is not exact raises ``LatticeError`` naming a and the depth; nothing
+is rounded.  ``Fraction`` is left at the boundary: the parameter, and ``Tile``
+and ``Tiling``, whose coordinates are each built once as Fraction(X, S).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .core import (HALF, AffineRegion, RatLike, check_parameter, halvings, locate,
-                   near_shuffle, orb_point, pillow_map, shuffle_atlas)
+from .core import (HALF, RatLike, _pillow_map, check_parameter, orb_point, point_in_triangle,
+                   shuffle_atlas)
 
 Point = tuple[Fraction, Fraction]
 Segment = tuple[Point, Point]
-Line = tuple[Fraction, Fraction, Fraction]  # A, B, C with Ax + By = C
+Lattice = tuple[int, int]  # numerators over the tiling's shared denominator
+
+_FOLD_LINE = (0, 1, 0)  # y = 0, where branches fold
 
 
-_FOLD_LINE = (Fraction(0), Fraction(1), Fraction(0))  # y = 0, where branches fold
+class LatticeError(RuntimeError):
+    """A division in the integer pullback that is not exact."""
 
 
-def _split_lines(regions: Sequence[AffineRegion]) -> list[Line]:
-    """Supporting lines of all region edges, plus the y = 0 line where the
-    doubling branches fold."""
-    lines = [_FOLD_LINE]
-    for region in regions:
-        tri = region.domain
-        for k in range(3):
-            (x1, y1), (x2, y2) = tri[k], tri[(k + 1) % 3]
-            av, bv = y2 - y1, x1 - x2
-            lines.append((av, bv, av * x1 + bv * y1))
-    return lines
+def _closed(verts: Sequence) -> Iterator:
+    return zip(verts, verts[1:] + verts[:1])
 
 
-def _split_segment(p: Point, q: Point, lines: Sequence[Line]) -> list[Segment]:
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    params = {Fraction(0), Fraction(1)}
-    for av, bv, cv in lines:
-        denom = av * dx + bv * dy
-        if denom != 0:
-            t = (cv - av * p[0] - bv * p[1]) / denom
-            if 0 < t < 1:
-                params.add(t)
-    knots = sorted(params)
-    points = [(p[0] + t * dx, p[1] + t * dy) for t in knots]
-    return list(zip(points, points[1:]))
+def _centroid(verts: Sequence) -> tuple[Fraction, Fraction]:
+    """Area centroid of a polygon, from Fraction or integer coordinates."""
+    signed = cx = cy = 0
+    for (x1, y1), (x2, y2) in _closed(verts):
+        w = x1 * y2 - x2 * y1
+        signed += w
+        cx += (x1 + x2) * w
+        cy += (y1 + y2) * w
+    if signed == 0:
+        raise ValueError("degenerate tile")
+    return (Fraction(cx, 3 * signed), Fraction(cy, 3 * signed))
+
+
+class _Pullback:
+    """The tile pullback on the lattice (1/scale)Z^2.  The inverse atlas is
+    scaled once: each region's triangle by 2 * scale (for doubled midpoints),
+    matrix by 2 and offset by 2 * scale, so that a move is one halving."""
+
+    def __init__(self, a: Fraction, scale: int, depth: int):
+        self.a, self.scale, self.depth = a, scale, depth
+        self.half = self.exact(scale, 2)
+        self.corner = self.numerator(HALF - a)  # where the corner squares begin
+        self.regions, self.lines = [], [_FOLD_LINE]
+        for region in shuffle_atlas(a, inverse=True):
+            tri = [(self.numerator(x), self.numerator(y)) for x, y in region.domain]
+            for (x1, y1), (x2, y2) in _closed(tri):
+                self.lines.append((y2 - y1, x1 - x2, (y2 - y1) * x1 + (x1 - x2) * y1))
+            self.regions.append((tuple((2 * x, 2 * y) for x, y in tri),
+                                 tuple(self.numerator(m, 2) for row in region.matrix for m in row),
+                                 tuple(self.numerator(o, 2 * scale) for o in region.offset)))
+
+    def exact(self, num: int, den: int) -> int:
+        quotient, remainder = divmod(num, den)
+        if remainder:
+            raise LatticeError(f"the pullback at a = {self.a}, depth {self.depth} leaves the "
+                               f"lattice (1/{self.scale})Z^2: {num}/{den} is not an integer")
+        return quotient
+
+    def numerator(self, value: Fraction, factor: int | None = None) -> int:
+        """``value * factor`` (by default the scale) as a checked integer."""
+        factor = self.scale if factor is None else factor
+        return self.exact(value.numerator * factor, value.denominator)
+
+    def split(self, p: Lattice, q: Lattice, lines: Sequence) -> list[tuple[Lattice, Lattice]]:
+        """Cut pq where it crosses the lines (A, B, C: AX + BY = C), in order."""
+        if p == q:
+            return [(p, q)]
+        (px, py), (qx, qy) = p, q
+        dx, dy = qx - px, qy - py
+        knots = {p, q}
+        for av, bv, cv in lines:
+            num, den = cv - av * px - bv * py, av * dx + bv * dy
+            if den < 0:
+                num, den = -num, -den
+            if 0 < num < den:
+                knots.add((px + self.exact(num * dx, den), py + self.exact(num * dy, den)))
+        ordered = sorted(knots, key=lambda k: (k[0] - px) * dx + (k[1] - py) * dy)
+        return list(zip(ordered, ordered[1:]))
+
+    def shuffle_back(self, p: Lattice, q: Lattice) -> list[tuple[Lattice, Lattice]]:
+        """Cut the segment pq into pieces and map each through the inverse shuffle.
+
+        Near the corner squares the cuts are at the atlas lines, and each piece
+        moves by the region holding its midpoint (an endpoint may lie on an edge
+        shared with the wrong region).  Elsewhere the shuffle is the identity and
+        the only cut is the fold line y = 0, so no piece's halvings straddle a fold.
+        """
+        if (not self.regions or max(p[0], q[0]) < self.corner
+                or -self.corner < min(p[1], q[1]) <= max(p[1], q[1]) < self.corner):
+            return self.split(p, q, (_FOLD_LINE,))
+        pieces = []
+        for piece in self.split(p, q, self.lines):
+            (x1, y1), (x2, y2) = piece
+            for tri, (m00, m01, m10, m11), (ox, oy) in self.regions:
+                if point_in_triangle((x1 + x2, y1 + y2), tri):
+                    piece = tuple((self.exact(m00 * x + m01 * y + ox, 2),
+                                   self.exact(m10 * x + m11 * y + oy, 2)) for x, y in piece)
+                    break
+            pieces.append(piece)
+        return pieces
+
+    def tile_preimages(self, verts: Sequence[Lattice]) -> list[tuple[Lattice, ...]]:
+        boundary: list[Lattice] = []
+        for p, q in _closed(verts):
+            for start, _ in self.shuffle_back(p, q):
+                if not boundary or start != boundary[-1]:
+                    boundary.append(start)
+        if boundary and boundary[0] == boundary[-1]:
+            boundary.pop()
+        return [_canonical_placement(halved, self.scale) for halved in self.halvings(boundary)]
+
+    def halvings(self, points: Sequence[Lattice]) -> list[list[Lattice]]:
+        """The four inverse branches of doubling, (X + m S) / 2 for m, n in {0, 1}."""
+        halved = [(self.exact(x, 2), self.exact(y, 2)) for x, y in points]
+        return [[(x + m, y + n) for x, y in halved] for m in (0, self.half) for n in (0, self.half)]
 
 
 # ---------------------------------------------------------------------------
 # wholesale recanonicalization of branch images
 
-def _canonical_placement(points: Sequence[Point]) -> tuple[Point, ...]:
-    """Move a point set that does not straddle any fold line back into the
-    fundamental rectangle by one global sign flip plus integer shifts.
-
-    Of the 18 (sign, sx, sy) candidates, the admissible ones (every moved
-    point in [0, 1/2] x [-1/2, 1/2]) follow from the bounding box alone, and
-    each one's key (sum of y, sum of x, sign) from the coordinate sums; the
-    points are moved once, by the admissible candidate with the largest key."""
+def _canonical_placement(points: Sequence[Lattice], scale: int) -> tuple[Lattice, ...]:
+    """Move a point set over the denominator ``scale`` that straddles no
+    fold line into the fundamental rectangle by one sign flip plus integer
+    shifts.  Of the 18 (sign, sx, sy) candidates, the admissible ones follow
+    from the bounding box and each one's key (sum of y, sum of x, sign) from
+    the coordinate sums; the points move once, by the largest key."""
     xs, ys = zip(*points)
     n, total_x, total_y = len(points), sum(xs), sum(ys)
     box = (min(xs), max(xs), min(ys), max(ys))
     flipped = (-box[1], -box[0], -box[3], -box[2])
     best = None
     for sign, (lo_x, hi_x, lo_y, hi_y) in ((1, box), (-1, flipped)):
-        for sx in (0, 1, -1):
-            if lo_x + sx < 0 or hi_x + sx > HALF:
+        for sx in (0, scale, -scale):
+            if lo_x + sx < 0 or 2 * (hi_x + sx) > scale:
                 continue
-            for sy in (0, 1, -1):
-                if lo_y + sy < -HALF or hi_y + sy > HALF:
+            for sy in (0, scale, -scale):
+                if 2 * (lo_y + sy) < -scale or 2 * (hi_y + sy) > scale:
                     continue
                 key = (sign * total_y + n * sy, sign * total_x + n * sx, sign)
                 if best is None or key > best[0]:
@@ -89,6 +166,16 @@ def _canonical_placement(points: Sequence[Point]) -> tuple[Point, ...]:
         raise RuntimeError("branch image straddles a fold line; invariant violated")
     (_, _, sign), sx, sy = best
     return tuple((sign * x + sx, sign * y + sy) for x, y in points)
+
+
+def _normalize_segment(p: Lattice, q: Lattice, half: int) -> tuple[Lattice, Lattice]:
+    # side edges carry the reflection identification; the two horizontal
+    # boundary rows are translates of each other
+    if p[1] == -half and q[1] == -half:
+        p, q = (p[0], half), (q[0], half)
+    if p[0] == q[0] and p[0] in (0, half) and p[1] + q[1] < 0:
+        p, q = (p[0], -p[1]), (q[0], -q[1])
+    return (p, q) if p <= q else (q, p)
 
 
 # ---------------------------------------------------------------------------
@@ -100,27 +187,13 @@ class Tile:
     face: int  # ancestral face: 0 front (y >= 0), 1 back
 
     def area(self) -> Fraction:
-        total = Fraction(0)
-        verts = self.vertices
-        for k in range(len(verts)):
-            (x1, y1), (x2, y2) = verts[k], verts[(k + 1) % len(verts)]
-            total += x1 * y2 - x2 * y1
-        return abs(total) / 2
+        scale = math.lcm(*(c.denominator for v in self.vertices for c in v))
+        ints = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in self.vertices]
+        total = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in _closed(ints))
+        return Fraction(abs(total), 2 * scale * scale)
 
     def centroid(self) -> Point:
-        signed = Fraction(0)
-        cx = Fraction(0)
-        cy = Fraction(0)
-        verts = self.vertices
-        for k in range(len(verts)):
-            (x1, y1), (x2, y2) = verts[k], verts[(k + 1) % len(verts)]
-            w = x1 * y2 - x2 * y1
-            signed += w
-            cx += (x1 + x2) * w
-            cy += (y1 + y2) * w
-        if signed == 0:
-            raise ValueError("degenerate tile")
-        return (cx / (3 * signed), cy / (3 * signed))
+        return _centroid(self.vertices)
 
 
 def base_faces() -> tuple[Tile, Tile]:
@@ -138,63 +211,21 @@ def base_skeleton() -> tuple[Segment, ...]:
             ((HALF, z), (HALF, HALF)))    # right side edge
 
 
-def _shuffle_back(a: Fraction, p: Point, q: Point, regions: Sequence[AffineRegion],
-                  lines: Sequence[Line]) -> list[Segment]:
-    """Cut the segment pq into pieces and map each through the inverse shuffle.
-
-    Near the corner squares the cuts are at the atlas lines, and each piece
-    moves by the region holding its midpoint (an endpoint may lie on an edge
-    shared with the wrong region).  Elsewhere the shuffle is the identity and
-    the only cut is the fold line y = 0, so no piece's halvings straddle a fold.
-    """
-    if not near_shuffle(a, (p, q)):
-        return _split_segment(p, q, (_FOLD_LINE,))
-    pieces = []
-    for p1, p2 in _split_segment(p, q, lines):
-        region = locate(regions, ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2))
-        pieces.append((region.apply(p1), region.apply(p2)))
-    return pieces
-
-
-def tile_preimages(a: Fraction, tile: Tile, regions: Sequence[AffineRegion],
-                   lines: Sequence[Line]) -> list[Tile]:
-    boundary: list[Point] = []
-    verts = tile.vertices
-    for k in range(len(verts)):
-        for start, _ in _shuffle_back(a, verts[k], verts[(k + 1) % len(verts)], regions, lines):
-            if not boundary or start != boundary[-1]:
-                boundary.append(start)
-    if boundary and boundary[0] == boundary[-1]:
-        boundary.pop()
-    return [Tile(vertices=_canonical_placement(halved), face=tile.face)
-            for halved in halvings(boundary)]
-
-
-def _normalize_segment(p: Point, q: Point) -> Segment:
-    # side edges carry the reflection identification; the two horizontal
-    # boundary rows are translates of each other
-    if p[1] == -HALF and q[1] == -HALF:
-        p, q = (p[0], HALF), (q[0], HALF)
-    if p[0] == q[0] and p[0] in (Fraction(0), HALF) and p[1] + q[1] < 0:
-        p, q = (p[0], -p[1]), (q[0], -q[1])
-    return (p, q) if p <= q else (q, p)
-
-
 def skeleton_forward_invariance(a: RatLike, samples: int = 10**4) -> bool:
-    """Sample rational points on the four edges and check their images stay
-    on the skeleton (a canonical coordinate pinned to 0 or 1/2), exactly."""
+    """Map ``samples`` rational points of the four edges, taken in turn, and
+    check their images stay on the skeleton (a coordinate in {0, 1/2}), exactly."""
     a = check_parameter(a)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    per_edge = max(2, samples // 4)
+    per_edge = max(2, -(-samples // 4))
     on_skeleton = []
     for k in range(per_edge):
         t = Fraction(k, 2 * (per_edge - 1))  # runs over [0, 1/2]
         on_skeleton += [orb_point(t, 0), orb_point(t, HALF),
                         orb_point(0, t), orb_point(HALF, t)]
     pinned = {Fraction(0), HALF}
-    for p in on_skeleton:
-        q = pillow_map(a, p)
+    for p in on_skeleton[:samples]:
+        q = _pillow_map(a, p)
         if q.x not in pinned and q.y not in pinned:
             return False
     return True
@@ -229,15 +260,19 @@ def subdivide(a: RatLike, depth: int, invariance_samples: int = 256) -> Tiling:
         raise ValueError("depth must lie in 0..8 (tile counts grow as 2 * 4^depth)")
     if not skeleton_forward_invariance(a, samples=invariance_samples):
         raise RuntimeError("skeleton is not forward invariant; pullback is not a subdivision")
-    regions = shuffle_atlas(a, inverse=True)
-    lines = _split_lines(regions)
-    tiles = list(base_faces())
+    pullback = _Pullback(a, a.denominator << (2 * depth + 2), depth)
+    fr = functools.cache(functools.partial(Fraction, denominator=pullback.scale))
+    tiles = [(tuple((pullback.numerator(x), pullback.numerator(y)) for x, y in t.vertices), t.face)
+             for t in base_faces()]
     levels = [base_skeleton()]
     for _ in range(depth):
-        tiles = [child for tile in tiles
-                 for child in tile_preimages(a, tile, regions, lines)]
-        edges = {_normalize_segment(p, q) for t in tiles
-                 for p, q in zip(t.vertices, t.vertices[1:] + t.vertices[:1])}
-        levels.append(tuple(sorted(edges)))
-    cells = tuple(sorted(tiles, key=lambda t: t.centroid()))
+        tiles = [(child, face) for verts, face in tiles
+                 for child in pullback.tile_preimages(verts)]
+        edges = {_normalize_segment(p, q, pullback.half) for verts, _ in tiles
+                 for p, q in _closed(verts)}
+        levels.append(tuple(((fr(px), fr(py)), (fr(qx), fr(qy)))
+                            for (px, py), (qx, qy) in sorted(edges)))
+    tiles.sort(key=lambda tile: _centroid(tile[0]))
+    cells = tuple(Tile(vertices=tuple((fr(x), fr(y)) for x, y in verts), face=face)
+                  for verts, face in tiles)
     return Tiling(a=a, depth=depth, cells=cells, skeleton=tuple(levels))

@@ -10,6 +10,7 @@ from cxcdyn.pillowcase import (CONE_POINTS, CRITICAL_POINTS, HSQUEEZE, SHEAR,
                                involution, mat_vec, orb_distance, orb_point,
                                perturbation, pillow_map, postcritical_set, preimages,
                                singular_values, tent, tent_orbit)
+from cxcdyn.pillowcase import core, shuffle_atlas, skeleton_forward_invariance, tiling
 from cxcdyn.pillowcase.core import halvings
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=64)
@@ -256,6 +257,43 @@ def test_differential_report(eighth):
     by_name = {p.name: p.singular_values for p in differential_report(eighth).pieces}
     assert by_name["doubling"] == pytest.approx((2.0, 2.0))
     assert by_name["doubling+squeeze"][1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_shuffle_atlas_is_built_once_per_parameter():
+    shuffle_atlas.cache_clear()
+    family_deviation(F(1, 8), F(3, 40), grid=8)
+    assert shuffle_atlas.cache_info().misses == 2  # one forward atlas per parameter
+    atlas = shuffle_atlas(F(1, 8), inverse=True)
+    assert isinstance(atlas, tuple) and shuffle_atlas(F(1, 8), inverse=True) is atlas
+    assert shuffle_atlas(F(0)) == ()
+
+
+def test_parameter_is_validated_once_per_call(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return check(a)
+
+    check = core.check_parameter
+    monkeypatch.setattr(core, "check_parameter", counting)
+    monkeypatch.setattr(tiling, "check_parameter", counting)
+    for samples in (10, 500):
+        calls.clear()
+        differential_report(F(1, 8), samples=samples)
+        assert len(calls) == 1
+        calls.clear()
+        skeleton_forward_invariance(F(1, 8), samples=samples)
+        assert len(calls) == 1
+    calls.clear()
+    family_deviation(F(1, 8), F(1, 64), grid=6)
+    assert len(calls) == 2
+    calls.clear()
+    for _ in range(3):
+        pillow_map(F(1, 8), orb_point(F(1, 3), 0))
+    assert len(calls) == 3  # the public map validates on every call
+    with pytest.raises(ValueError, match=r"\[0, 1/8\]"):
+        pillow_map(F(1, 4), orb_point(0, 0))
 
 
 def test_annulus_maps_are_parameter_independent():

@@ -1,14 +1,17 @@
 import hashlib
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cxcdyn.pillowcase import (Tiling, base_faces, base_skeleton, orb_point, perturbation,
-                               shuffle_atlas, skeleton_forward_invariance, subdivide)
-from cxcdyn.pillowcase.core import halvings
-from cxcdyn.pillowcase.tiling import (_canonical_placement, _normalize_segment, _shuffle_back,
-                                      _split_lines, _split_segment, tile_preimages)
+import cxcdyn.pillowcase.tiling as tiling
+from cxcdyn.pillowcase import (Tile, Tiling, base_faces, base_skeleton, check_parameter,
+                               orb_point, perturbation, shuffle_atlas,
+                               skeleton_forward_invariance, subdivide)
+from cxcdyn.pillowcase.core import halvings, locate
+from cxcdyn.pillowcase.tiling import (LatticeError, _canonical_placement, _normalize_segment,
+                                      _Pullback)
 from cxcdyn.render import tiling_svg
 
 HALF = F(1, 2)
@@ -99,7 +102,172 @@ def test_depth_four_svg_pinned(a, digest):
     assert svg_digest(a, 4) == digest
 
 
-# --- canonical placement against the 18-candidate oracle -------------------
+@pytest.mark.parametrize("a, digest", [
+    (F(1, 64), "0c7e834c21d4278b63f6fa5e76bcfa72390bac63429d00a26eb7d34d22416388"),
+    (F(1, 8), "49b802de225bb5b919e641d12e7b0d073add920838a6295a74b87cccde74a2bd"),
+])
+def test_depth_five_svg_pinned(a, digest):
+    assert svg_digest(a, 5) == digest
+
+
+# --- the Fraction pullback, kept as the oracle of the integer one -------------
+
+FOLD_LINE = (F(0), F(1), F(0))  # y = 0
+
+
+def split_lines(regions):
+    """Supporting lines (A, B, C with Ax + By = C) of all region edges, plus
+    the fold line y = 0."""
+    lines = [FOLD_LINE]
+    for region in regions:
+        tri = region.domain
+        for k in range(3):
+            (x1, y1), (x2, y2) = tri[k], tri[(k + 1) % 3]
+            av, bv = y2 - y1, x1 - x2
+            lines.append((av, bv, av * x1 + bv * y1))
+    return lines
+
+
+def split_segment(p, q, lines):
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    params = {F(0), F(1)}
+    for av, bv, cv in lines:
+        denom = av * dx + bv * dy
+        if denom != 0:
+            t = (cv - av * p[0] - bv * p[1]) / denom
+            if 0 < t < 1:
+                params.add(t)
+    knots = sorted(params)
+    points = [(p[0] + t * dx, p[1] + t * dy) for t in knots]
+    return list(zip(points, points[1:]))
+
+
+def fraction_placement(points):
+    """The sign flip and integer shift into the fundamental rectangle, chosen
+    from the bounding box and the coordinate sums, in Fractions."""
+    xs, ys = zip(*points)
+    n, total_x, total_y = len(points), sum(xs), sum(ys)
+    box = (min(xs), max(xs), min(ys), max(ys))
+    flipped = (-box[1], -box[0], -box[3], -box[2])
+    best = None
+    for sign, (lo_x, hi_x, lo_y, hi_y) in ((1, box), (-1, flipped)):
+        for sx in (0, 1, -1):
+            if lo_x + sx < 0 or hi_x + sx > HALF:
+                continue
+            for sy in (0, 1, -1):
+                if lo_y + sy < -HALF or hi_y + sy > HALF:
+                    continue
+                key = (sign * total_y + n * sy, sign * total_x + n * sx, sign)
+                if best is None or key > best[0]:
+                    best = (key, sx, sy)
+    if best is None:
+        raise RuntimeError("branch image straddles a fold line; invariant violated")
+    (_, _, sign), sx, sy = best
+    return tuple((sign * x + sx, sign * y + sy) for x, y in points)
+
+
+def near_corner(a, p, q):
+    """Whether the bounding box of pq meets a corner square."""
+    ys = (p[1], q[1])
+    return a != 0 and max(p[0], q[0]) >= HALF - a and (max(ys) >= HALF - a
+                                                       or min(ys) <= -HALF + a)
+
+
+def shuffle_back(a, p, q, regions, lines):
+    """Cut pq at the atlas lines near the corner squares (else at y = 0 only)
+    and move each piece by the region holding its midpoint."""
+    if not near_corner(a, p, q):
+        return split_segment(p, q, (FOLD_LINE,))
+    pieces = []
+    for p1, p2 in split_segment(p, q, lines):
+        region = locate(regions, ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2))
+        pieces.append((region.apply(p1), region.apply(p2)))
+    return pieces
+
+
+def tile_preimages(a, tile, regions, lines):
+    boundary = []
+    verts = tile.vertices
+    for k in range(len(verts)):
+        for start, _ in shuffle_back(a, verts[k], verts[(k + 1) % len(verts)], regions, lines):
+            if not boundary or start != boundary[-1]:
+                boundary.append(start)
+    if boundary and boundary[0] == boundary[-1]:
+        boundary.pop()
+    return [Tile(vertices=fraction_placement(halved), face=tile.face)
+            for halved in halvings(boundary)]
+
+
+def normalize_segment(p, q):
+    if p[1] == -HALF and q[1] == -HALF:
+        p, q = (p[0], HALF), (q[0], HALF)
+    if p[0] == q[0] and p[0] in (F(0), HALF) and p[1] + q[1] < 0:
+        p, q = (p[0], -p[1]), (q[0], -q[1])
+    return (p, q) if p <= q else (q, p)
+
+
+def _atlas(a):
+    regions = shuffle_atlas(a, inverse=True)
+    return regions, split_lines(regions)
+
+
+def fraction_subdivide(a, depth):
+    """``subdivide`` in Fraction arithmetic: the tiles pulled back ``depth``
+    times, skeleton level k the sorted edge set of the depth-k tiles."""
+    a = check_parameter(a)
+    regions, lines = _atlas(a)
+    tiles, levels = list(base_faces()), [base_skeleton()]
+    for _ in range(depth):
+        tiles = [child for tile in tiles for child in tile_preimages(a, tile, regions, lines)]
+        edges = {normalize_segment(p, q) for t in tiles
+                 for p, q in zip(t.vertices, t.vertices[1:] + t.vertices[:1])}
+        levels.append(tuple(sorted(edges)))
+    cells = tuple(sorted(tiles, key=lambda t: t.centroid()))
+    return Tiling(a=a, depth=depth, cells=cells, skeleton=tuple(levels))
+
+
+# the parameters of the pillow benchmark: p/q in [1/16, 1/8] with q prime
+PRIMES = [q for q in range(17, 98) if all(q % k for k in range(2, q))]
+benchmark_parameters = st.sampled_from(PRIMES).flatmap(
+    lambda q: st.integers(-(-q // 16), q // 8).map(lambda p: F(p, q)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.sampled_from([F(0), F(1, 64), F(1, 8)]), benchmark_parameters),
+       st.integers(0, 3))
+def test_integer_subdivide_matches_fraction_oracle(a, depth):
+    assert subdivide(a, depth) == fraction_subdivide(a, depth)
+
+
+# --- integer numerators over a shared denominator -----------------------------
+
+def lattice_of(values):
+    """An even common denominator of the Fractions, and their numerators over it."""
+    scale = 2 * math.lcm(*(v.denominator for v in values))
+    return scale, lambda p: tuple(c.numerator * (scale // c.denominator) for c in p)
+
+
+def from_lattice(points, scale):
+    return tuple((F(x, scale), F(y, scale)) for x, y in points)
+
+
+def test_inexact_division_raises_instead_of_rounding():
+    pullback = _Pullback(F(1, 8), 64, depth=3)
+    named = r"a = 1/8, depth 3 leaves the lattice \(1/64\)Z\^2"
+    with pytest.raises(LatticeError, match=named + ": 3/2 is not an integer"):
+        pullback.halvings([(3, 0)])
+    # the segment from (0, -1) to (1, 2) crosses y = 0 a third of the way along
+    with pytest.raises(LatticeError, match=named + ": 1/3 is not an integer"):
+        pullback.split((0, -1), (1, 2), pullback.lines)
+    # in the corner square's stretch region, y -> (y + 24) / 2 at this scale
+    with pytest.raises(LatticeError, match=named + ": 49/2 is not an integer"):
+        pullback.shuffle_back((30, 25), (31, 25))
+    with pytest.raises(LatticeError, match="1/8, depth 3"):
+        pullback.tile_preimages([(0, 0), (1, 0), (1, 1)])
+    with pytest.raises(LatticeError, match="1/8, depth 3"):
+        _Pullback(F(1, 8), 8, depth=3)  # the atlas triangles need 1/16
+    assert issubclass(LatticeError, RuntimeError)  # the CLI reports it with exit 1
+    assert pullback.halvings([(4, -2)]) == [[(2, -1)], [(2, 31)], [(34, -1)], [(34, 31)]]
 
 def brute_force_placement(points):
     """Move the points through every sign and shift, keep the candidates
@@ -142,7 +310,10 @@ def test_canonical_placement_matches_oracle(points):
     for m in (0, 1):
         for n in (0, 1):
             halved = tuple(((x + m) / 2, (y + n) / 2) for x, y in points)
-            assert _canonical_placement(halved) == brute_force_placement(halved)
+            scale, numerators = lattice_of([c for p in halved for c in p])
+            placed = _canonical_placement([numerators(p) for p in halved], scale)
+            assert from_lattice(placed, scale) == brute_force_placement(halved)
+            assert fraction_placement(halved) == brute_force_placement(halved)
 
 
 @st.composite
@@ -168,16 +339,14 @@ def straddling_sets(draw):
 def test_straddling_set_has_no_placement(points):
     with pytest.raises(RuntimeError):
         brute_force_placement(points)
+    scale, numerators = lattice_of([c for p in points for c in p])
     with pytest.raises(RuntimeError, match="straddles a fold line"):
-        _canonical_placement(points)
+        _canonical_placement([numerators(p) for p in points], scale)
+    with pytest.raises(RuntimeError, match="straddles a fold line"):
+        fraction_placement(points)
 
 
 # --- the shuffle pull-back of segments --------------------------------------
-
-def _atlas(a):
-    regions = shuffle_atlas(a, inverse=True)
-    return regions, _split_lines(regions)
-
 
 @st.composite
 def corner_segments(draw):
@@ -192,6 +361,15 @@ def corner_segments(draw):
     return a, (draw(corner), draw(st.one_of(corner, anywhere)))
 
 
+def pullback_for(a, fraction_pieces):
+    """The integer pullback at a on the coarsest lattice holding the atlas
+    (1/(4 den a)) and every point of the Fraction pieces."""
+    values = [F(1, 4 * a.denominator)] + [c for piece in fraction_pieces
+                                          for p in piece for c in p]
+    scale, numerators = lattice_of(values)
+    return _Pullback(a, scale, depth=0), numerators
+
+
 # pieces that start on an edge shared with a region listed before their own
 @example((F(1, 8), ((F(7, 16), F(13, 32)), (F(7, 16), HALF))))
 @example((F(1, 8), ((F(7, 16), F(-13, 32)), (F(7, 16), -HALF))))
@@ -200,8 +378,12 @@ def corner_segments(draw):
 def test_shuffle_back_is_the_pointwise_inverse_on_every_piece(case):
     a, seg = case
     regions, lines = _atlas(a)
-    pieces = _shuffle_back(a, *seg, regions, lines)
-    cuts = _split_segment(*seg, lines)
+    expected, expected_cuts = shuffle_back(a, *seg, regions, lines), split_segment(*seg, lines)
+    pullback, numerators = pullback_for(a, expected + expected_cuts)
+    p, q = map(numerators, seg)
+    pieces = [from_lattice(piece, pullback.scale) for piece in pullback.shuffle_back(p, q)]
+    cuts = [from_lattice(cut, pullback.scale) for cut in pullback.split(p, q, pullback.lines)]
+    assert pieces == expected and cuts == expected_cuts
     assert len(pieces) == len(cuts)
     for (m1, m2), (p1, p2) in zip(pieces, cuts):
         for m, p in ((m1, p1), (m2, p2)):
@@ -213,9 +395,15 @@ def segment_pullback(a, seg, regions, lines):
     """The preimages of a segment: its pieces under the inverse shuffle, each
     halved by the four doubling branches and placed in the fundamental
     rectangle, as normalized segments."""
-    return [_normalize_segment(*_canonical_placement(halved))
-            for m1, m2 in _shuffle_back(a, *seg, regions, lines) if m1 != m2
+    return [normalize_segment(*fraction_placement(halved))
+            for m1, m2 in shuffle_back(a, *seg, regions, lines) if m1 != m2
             for halved in halvings((m1, m2))]
+
+
+def lattice_segment_pullback(pullback, seg):
+    """``segment_pullback`` on the integer pullback."""
+    return [_normalize_segment(*_canonical_placement(halved, pullback.scale), pullback.half)
+            for piece in pullback.shuffle_back(*seg) for halved in pullback.halvings(piece)]
 
 
 @pytest.mark.parametrize("a", [F(0), F(1, 8)])
@@ -226,6 +414,12 @@ def test_segment_across_the_fold_line_is_split_there(a):
     halves = (segment_pullback(a, (low, mid), regions, lines)
               + segment_pullback(a, (mid, high), regions, lines))
     assert len(whole) == 8 and sorted(whole) == sorted(halves)
+    pullback = _Pullback(a, 8 * a.denominator, depth=1)
+    low, mid, high = (tuple(map(pullback.numerator, p)) for p in (low, mid, high))
+    lattice = [sorted(from_lattice(s, pullback.scale)
+                      for s in lattice_segment_pullback(pullback, seg))
+               for seg in ((low, high), (low, mid), (mid, high))]
+    assert lattice[0] == sorted(whole) == sorted(lattice[1] + lattice[2])
 
 
 # --- the skeleton against its own pullback -----------------------------------
@@ -251,3 +445,26 @@ def two_pullback_tilings(a, depth):
 def test_skeleton_levels_are_the_pulled_back_skeleton(a, depth):
     for reference in two_pullback_tilings(a, depth):
         assert subdivide(a, reference.depth) == reference
+        assert fraction_subdivide(a, reference.depth) == reference
+
+
+# --- the invariance precondition ----------------------------------------------
+
+@pytest.mark.parametrize("samples", [1, 5, 10, 256])
+def test_invariance_maps_exactly_samples_points(monkeypatch, samples):
+    mapped = []
+
+    def counting(a, p):
+        mapped.append(p)
+        return real(a, p)
+
+    real = tiling._pillow_map
+    monkeypatch.setattr(tiling, "_pillow_map", counting)
+    assert skeleton_forward_invariance(F(1, 8), samples=samples)
+    assert len(mapped) == samples
+    if samples % 4 == 0 and samples >= 8:  # the point set before the count was exact
+        per_edge = samples // 4
+        assert mapped == [p for k in range(per_edge)
+                          for t in [F(k, 2 * (per_edge - 1))]
+                          for p in (orb_point(t, 0), orb_point(t, HALF),
+                                    orb_point(0, t), orb_point(HALF, t))]
