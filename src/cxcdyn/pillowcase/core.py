@@ -9,6 +9,16 @@ matrices glued along triangle edges; ``shuffle_atlas`` builds it, or its
 inverse, once for the pointwise maps here and the tile pullback in ``tiling``.
 Everything here is exact: coordinates, matrices, orbits, postcritical sets.
 Floats appear only in distances and in singular values.
+
+The forward map runs on integer numerators over one shared denominator S
+(``LatticeMap``): doubling is 2X mod S, canonicalization is ``orb_point`` on
+integers, and the shuffle atlas is scaled onto the lattice once
+(``Lattice.scaled_atlas``, shared with the tile pullback in ``tiling``).  Every
+division there is exact or raises ``LatticeError``.  ``Fraction`` remains at
+the boundary: the parameter, ``OrbPoint``, ``pillow_map`` (which picks S from
+its point and returns Fractions), the shuffle alone (``perturbation``), the
+inverse branches (``halvings``, ``preimages``), the tent orbit and the
+postcritical formula.
 """
 
 from __future__ import annotations
@@ -283,9 +293,92 @@ def perturbation(a: RatLike, p: OrbPoint, inverse: bool = False) -> OrbPoint:
     return _shuffle(check_parameter(a), p, inverse)
 
 
+# ---------------------------------------------------------------------------
+# the forward map on integer numerators over one shared denominator
+
+class LatticeError(RuntimeError):
+    """A division on an integer lattice that is not exact."""
+
+
+class Lattice:
+    """Points (X / scale, Y / scale) with integer numerators, for one ``a``.
+    ``context`` names the computation in the ``LatticeError`` of a division
+    that is not exact; nothing is rounded."""
+
+    def __init__(self, a: Fraction, scale: int, context: str):
+        self.a, self.scale, self.context = a, scale, context
+        self.half = self.exact(scale, 2)
+        self.corner = self.numerator(HALF - a)  # where the corner squares begin
+
+    def exact(self, num: int, den: int) -> int:
+        quotient, remainder = divmod(num, den)
+        if remainder:
+            raise LatticeError(f"{self.context} leaves the lattice (1/{self.scale})Z^2: "
+                               f"{num}/{den} is not an integer")
+        return quotient
+
+    def numerator(self, value: Fraction, factor: int | None = None) -> int:
+        """``value * factor`` (by default the scale) as a checked integer."""
+        factor = self.scale if factor is None else factor
+        return self.exact(value.numerator * factor, value.denominator)
+
+    def scaled_atlas(self, inverse: bool = False) -> list[tuple[tuple, tuple, tuple]]:
+        """``shuffle_atlas(a, inverse)`` on the lattice: per region the triangle
+        times the scale, the matrix (row-major) times 2 and the offset times
+        2 * scale, so that a point X moves to (matrix X + offset) / 2."""
+        return [(tuple((self.numerator(x), self.numerator(y)) for x, y in region.domain),
+                 tuple(self.numerator(m, 2) for row in region.matrix for m in row),
+                 tuple(self.numerator(o, 2 * self.scale) for o in region.offset))
+                for region in shuffle_atlas(self.a, inverse)]
+
+
+class LatticeMap(Lattice):
+    """``pillow_map`` on the lattice (1/scale)Z^2, which it maps into itself
+    when 4 * den(a) divides the scale."""
+
+    def __init__(self, a: Fraction, scale: int):
+        super().__init__(a, scale, f"the forward map at a = {a}")
+        self.regions = self.scaled_atlas()
+
+    def canonical(self, x: int, y: int) -> tuple[int, int]:
+        """``orb_point`` on numerators."""
+        scale, half = self.scale, self.half
+        x %= scale
+        if x > half:
+            x, y = scale - x, -y
+        y %= scale
+        if y > half:
+            y -= scale
+        if y < 0 and (x == 0 or x == half):
+            y = -y
+        return x, y
+
+    def near(self, x: int, y: int) -> bool:
+        """``near_shuffle`` on numerators."""
+        return bool(self.regions) and x >= self.corner and abs(y) >= self.corner
+
+    def __call__(self, x: int, y: int) -> tuple[int, int]:
+        """The canonical numerators of f_a(x / scale, y / scale)."""
+        x, y = self.canonical(2 * x, 2 * y)
+        if self.near(x, y):
+            for tri, (m00, m01, m10, m11), (ox, oy) in self.regions:
+                if point_in_triangle((x, y), tri):
+                    return self.canonical(self.exact(m00 * x + m01 * y + ox, 2),
+                                          self.exact(m10 * x + m11 * y + oy, 2))
+        return x, y
+
+
+_lattice_map = functools.lru_cache(maxsize=256)(LatticeMap)
+
+
 def _pillow_map(a: Fraction, p: OrbPoint) -> OrbPoint:
-    """``pillow_map`` for an ``a`` already validated, for loops over points."""
-    return _shuffle(a, doubling(p))
+    """``pillow_map`` for an ``a`` already validated, for loops over points:
+    on the lattice over 4 * lcm of the denominators, its map cached."""
+    x, y = p.x, p.y
+    scale = 4 * math.lcm(x.denominator, y.denominator, a.denominator)
+    qx, qy = _lattice_map(a, scale)(x.numerator * (scale // x.denominator),
+                                    y.numerator * (scale // y.denominator))
+    return OrbPoint(Fraction(qx, scale), Fraction(qy, scale))
 
 
 def pillow_map(a: RatLike, p: OrbPoint) -> OrbPoint:
@@ -453,13 +546,14 @@ def differential_report(a: RatLike, samples: int = 10**4, seed: int = 0) -> Diff
     checked = 0
     sampled_ok = True
     denom = 2**20
+    # the corner point (1/2 - a + u a / denom, ...) on the lattice over 4 den(a) denom
+    fmap = LatticeMap(a, 4 * a.denominator * denom)
+    step = 4 * a.numerator  # a / denom
     for _ in range(samples):
-        u = Fraction(int(rng.integers(0, denom + 1)), denom) * a
-        v = Fraction(int(rng.integers(0, denom + 1)), denom) * a
-        p = orb_point(HALF - a + u, HALF - a + v)
-        image = _pillow_map(a, p)
+        u = int(rng.integers(0, denom + 1))
+        v = int(rng.integers(0, denom + 1))
         checked += 1
-        if near_shuffle(a, (image.x, image.y)):
+        if fmap.near(*fmap(fmap.corner + u * step, fmap.corner + v * step)):
             sampled_ok = False
             break
     disjoint = bool(exact_disjoint and sampled_ok)
@@ -480,9 +574,13 @@ def family_deviation(a1: RatLike, a2: RatLike, grid: int = 24) -> float:
     """Sup over a coordinate grid of the displacement between two family
     members; a numerical modulus of continuity in the parameter."""
     a1, a2 = check_parameter(a1), check_parameter(a2)
-    worst = 0.0
-    for i in range(grid + 1):
-        for jj in range(2 * grid + 1):
-            p = orb_point(Fraction(i, 2 * grid), Fraction(jj - grid, 2 * grid))
-            worst = max(worst, orb_distance(_pillow_map(a1, p), _pillow_map(a2, p)))
-    return worst
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
+    scale = 4 * math.lcm(2 * grid, a1.denominator, a2.denominator)
+    step = scale // (2 * grid)
+    points = [(i * step, (jj - grid) * step)
+              for i in range(grid + 1) for jj in range(2 * grid + 1)]
+    # X / scale rounds once, as float(Fraction(X, scale)) does
+    images = [np.array([[c / scale for c in fmap(x, y)] for x, y in points])
+              for fmap in (LatticeMap(a1, scale), LatticeMap(a2, scale))]
+    return float(orb_distances(*images).max())

@@ -23,18 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import (HALF, RatLike, _pillow_map, check_parameter, orb_point, point_in_triangle,
-                   shuffle_atlas)
+from .core import (HALF, Lattice, RatLike, _pillow_map, check_parameter, orb_point,
+                   point_in_triangle)
+from .core import LatticeError  # noqa: F401  (re-exported: the pullback raises it)
 
 Point = tuple[Fraction, Fraction]
 Segment = tuple[Point, Point]
-Lattice = tuple[int, int]  # numerators over the tiling's shared denominator
+LatticePoint = tuple[int, int]  # numerators over the tiling's shared denominator
 
 _FOLD_LINE = (0, 1, 0)  # y = 0, where branches fold
-
-
-class LatticeError(RuntimeError):
-    """A division in the integer pullback that is not exact."""
 
 
 def _closed(verts: Sequence) -> Iterator:
@@ -54,37 +51,22 @@ def _centroid(verts: Sequence) -> tuple[Fraction, Fraction]:
     return (Fraction(cx, 3 * signed), Fraction(cy, 3 * signed))
 
 
-class _Pullback:
-    """The tile pullback on the lattice (1/scale)Z^2.  The inverse atlas is
-    scaled once: each region's triangle by 2 * scale (for doubled midpoints),
-    matrix by 2 and offset by 2 * scale, so that a move is one halving."""
+class _Pullback(Lattice):
+    """The tile pullback on the lattice (1/scale)Z^2, through the inverse atlas
+    scaled once (``Lattice.scaled_atlas``) so that a move is one halving; the
+    triangles are doubled again, for tests at doubled midpoints."""
 
     def __init__(self, a: Fraction, scale: int, depth: int):
-        self.a, self.scale, self.depth = a, scale, depth
-        self.half = self.exact(scale, 2)
-        self.corner = self.numerator(HALF - a)  # where the corner squares begin
+        super().__init__(a, scale, f"the pullback at a = {a}, depth {depth}")
+        self.depth = depth
         self.regions, self.lines = [], [_FOLD_LINE]
-        for region in shuffle_atlas(a, inverse=True):
-            tri = [(self.numerator(x), self.numerator(y)) for x, y in region.domain]
+        for tri, matrix, offset in self.scaled_atlas(inverse=True):
             for (x1, y1), (x2, y2) in _closed(tri):
                 self.lines.append((y2 - y1, x1 - x2, (y2 - y1) * x1 + (x1 - x2) * y1))
-            self.regions.append((tuple((2 * x, 2 * y) for x, y in tri),
-                                 tuple(self.numerator(m, 2) for row in region.matrix for m in row),
-                                 tuple(self.numerator(o, 2 * scale) for o in region.offset)))
+            self.regions.append((tuple((2 * x, 2 * y) for x, y in tri), matrix, offset))
 
-    def exact(self, num: int, den: int) -> int:
-        quotient, remainder = divmod(num, den)
-        if remainder:
-            raise LatticeError(f"the pullback at a = {self.a}, depth {self.depth} leaves the "
-                               f"lattice (1/{self.scale})Z^2: {num}/{den} is not an integer")
-        return quotient
-
-    def numerator(self, value: Fraction, factor: int | None = None) -> int:
-        """``value * factor`` (by default the scale) as a checked integer."""
-        factor = self.scale if factor is None else factor
-        return self.exact(value.numerator * factor, value.denominator)
-
-    def split(self, p: Lattice, q: Lattice, lines: Sequence) -> list[tuple[Lattice, Lattice]]:
+    def split(self, p: LatticePoint, q: LatticePoint,
+              lines: Sequence) -> list[tuple[LatticePoint, LatticePoint]]:
         """Cut pq where it crosses the lines (A, B, C: AX + BY = C), in order."""
         if p == q:
             return [(p, q)]
@@ -100,7 +82,8 @@ class _Pullback:
         ordered = sorted(knots, key=lambda k: (k[0] - px) * dx + (k[1] - py) * dy)
         return list(zip(ordered, ordered[1:]))
 
-    def shuffle_back(self, p: Lattice, q: Lattice) -> list[tuple[Lattice, Lattice]]:
+    def shuffle_back(self, p: LatticePoint,
+                     q: LatticePoint) -> list[tuple[LatticePoint, LatticePoint]]:
         """Cut the segment pq into pieces and map each through the inverse shuffle.
 
         Near the corner squares the cuts are at the atlas lines, and each piece
@@ -122,8 +105,8 @@ class _Pullback:
             pieces.append(piece)
         return pieces
 
-    def tile_preimages(self, verts: Sequence[Lattice]) -> list[tuple[Lattice, ...]]:
-        boundary: list[Lattice] = []
+    def tile_preimages(self, verts: Sequence[LatticePoint]) -> list[tuple[LatticePoint, ...]]:
+        boundary: list[LatticePoint] = []
         for p, q in _closed(verts):
             for start, _ in self.shuffle_back(p, q):
                 if not boundary or start != boundary[-1]:
@@ -132,7 +115,7 @@ class _Pullback:
             boundary.pop()
         return [_canonical_placement(halved, self.scale) for halved in self.halvings(boundary)]
 
-    def halvings(self, points: Sequence[Lattice]) -> list[list[Lattice]]:
+    def halvings(self, points: Sequence[LatticePoint]) -> list[list[LatticePoint]]:
         """The four inverse branches of doubling, (X + m S) / 2 for m, n in {0, 1}."""
         halved = [(self.exact(x, 2), self.exact(y, 2)) for x, y in points]
         return [[(x + m, y + n) for x, y in halved] for m in (0, self.half) for n in (0, self.half)]
@@ -141,7 +124,8 @@ class _Pullback:
 # ---------------------------------------------------------------------------
 # wholesale recanonicalization of branch images
 
-def _canonical_placement(points: Sequence[Lattice], scale: int) -> tuple[Lattice, ...]:
+def _canonical_placement(points: Sequence[LatticePoint],
+                         scale: int) -> tuple[LatticePoint, ...]:
     """Move a point set over the denominator ``scale`` that straddles no
     fold line into the fundamental rectangle by one sign flip plus integer
     shifts.  Of the 18 (sign, sx, sy) candidates, the admissible ones follow
@@ -168,7 +152,8 @@ def _canonical_placement(points: Sequence[Lattice], scale: int) -> tuple[Lattice
     return tuple((sign * x + sx, sign * y + sy) for x, y in points)
 
 
-def _normalize_segment(p: Lattice, q: Lattice, half: int) -> tuple[Lattice, Lattice]:
+def _normalize_segment(p: LatticePoint, q: LatticePoint,
+                       half: int) -> tuple[LatticePoint, LatticePoint]:
     # side edges carry the reflection identification; the two horizontal
     # boundary rows are translates of each other
     if p[1] == -half and q[1] == -half:

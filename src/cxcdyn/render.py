@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,29 +41,39 @@ def cover_strip_svg(sys: IntervalSystem, depth: int) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _svg_xy(x: Fraction, y: Fraction, scale: int) -> tuple[float, float]:
-    # fundamental rectangle [0,1/2] x [-1/2,1/2]; SVG y axis points down
-    return float(x) * scale, (0.5 - float(y)) * scale
+def _memo_format(convert: Callable[[float], float]) -> Callable[[Fraction], str]:
+    """``convert(float(value))`` to three decimals, each distinct value once,
+    keyed by its numerator and denominator (cheaper to hash than a Fraction)."""
+    table: dict[tuple[int, int], str] = {}
+
+    def text(value: Fraction) -> str:
+        key = (value.numerator, value.denominator)
+        out = table.get(key)
+        if out is None:
+            out = table[key] = f"{convert(float(value)):.3f}"
+        return out
+
+    return text
 
 
 def tiling_svg(tiling: Tiling) -> str:
     scale = 800
     width, height = scale // 2, scale
+    # fundamental rectangle [0,1/2] x [-1/2,1/2]; SVG y axis points down
+    sx = _memo_format(lambda x: x * scale)
+    sy = _memo_format(lambda y: (0.5 - y) * scale)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">']
     for tile in tiling.cells:
-        points = [_svg_xy(x, y, scale) for x, y in tile.vertices]
-        path = "M " + " L ".join(f"{x:.3f} {y:.3f}" for x, y in points) + " Z"
+        path = "M " + " L ".join(f"{sx(x)} {sy(y)}" for x, y in tile.vertices) + " Z"
         parts.append(f'  <path d="{path}" fill="{_FACE_FILLS[tile.face]}" '
                      f'stroke="#555" stroke-width="0.35" />')
     for level in range(len(tiling.skeleton) - 1, -1, -1):
         stroke = _LEVEL_STROKES[min(level, len(_LEVEL_STROKES) - 1)]
         width_px = max(2.4 - 0.3 * level, 0.5)
         for (p, q) in tiling.skeleton[level]:
-            x1, y1 = _svg_xy(p[0], p[1], scale)
-            x2, y2 = _svg_xy(q[0], q[1], scale)
-            parts.append(f'  <line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" '
-                         f'y2="{y2:.3f}" stroke="{stroke}" stroke-width="{width_px}" />')
+            parts.append(f'  <line x1="{sx(p[0])}" y1="{sy(p[1])}" x2="{sx(q[0])}" '
+                         f'y2="{sy(q[1])}" stroke="{stroke}" stroke-width="{width_px}" />')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -11,18 +11,20 @@ base-3 cells.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..gdms import (Cylinder, GDMSPoint, IntervalSystem, apply_map, base_cylinder,
                     cylinder_from_word, distance, edge_path, pull_back)
 from ..menger import MengerParams, expanding_map
-from ..pillowcase.core import HALF, OrbPoint, check_parameter, orb_distance, orb_distances, \
-    orb_point, pillow_map, preimages
+from ..pillowcase.core import HALF, LatticeMap, OrbPoint, _pillow_map, check_parameter, \
+    orb_distance, orb_distances, orb_point, preimages
 from ..skew import SkewPoint, skew_distance, skew_map
 from .core import Adapter
 
@@ -271,9 +273,15 @@ class _PillowGrid:
         return self.xy[idx[:, 0], idx[:, 1]]
 
     def cell_of(self, p: OrbPoint) -> Cell:
-        i = min(int(p.x / self.h), self.nx - 1)
-        j = min(int((p.y + Fraction(1, 2)) / self.h), self.ny - 1)
-        return (i, j)
+        x, y = p.x, p.y
+        return self._cell(x.numerator, x.denominator,
+                          2 * y.numerator + y.denominator, 2 * y.denominator)
+
+    def _cell(self, x_num: int, x_den: int, y_num: int, y_den: int) -> Cell:
+        """The cell holding (x, y - 1/2) for x = x_num / x_den >= 0 and
+        y = y_num / y_den > 0, by integer floor division."""
+        return (min(x_num * self.ny // x_den, self.nx - 1),
+                min(y_num * self.ny // y_den, self.ny - 1))
 
     def neighbors(self, cell: Cell) -> list[Cell]:
         i, j = cell
@@ -286,14 +294,19 @@ class _PillowGrid:
 
     @property
     def image_map(self) -> np.ndarray:
+        """Flat index of the cell holding the image of each cell center,
+        mapped on the lattice over 4 * lcm(2 ny, den(a))."""
         if self._imap is None:
-            imap = np.empty((self.nx, self.ny), dtype=np.int64)
+            scale = 4 * math.lcm(2 * self.ny, self.a.denominator)
+            fmap, unit, half = LatticeMap(self.a, scale), scale // (2 * self.ny), scale // 2
+            flat = []
             for i in range(self.nx):
+                x = (2 * i + 1) * unit
                 for j in range(self.ny):
-                    q = pillow_map(self.a, self.center((i, j)))
-                    qi, qj = self.cell_of(q)
-                    imap[i, j] = qi * self.ny + qj
-            self._imap = imap
+                    qx, qy = fmap(x, (2 * j + 1) * unit - half)
+                    qi, qj = self._cell(qx, scale, qy + half, scale)
+                    flat.append(qi * self.ny + qj)
+            self._imap = np.array(flat, dtype=np.int64).reshape(self.nx, self.ny)
         return self._imap
 
     def flat(self, cell: Cell) -> int:
@@ -302,6 +315,11 @@ class _PillowGrid:
 
 def _xy(p: OrbPoint) -> np.ndarray:
     return np.array([float(p.x), float(p.y)])
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(n, 1)
 
 
 def pillowcase_adapter(a, resolution: int, cover: str = "faces",
@@ -373,7 +391,7 @@ def pillowcase_adapter(a, resolution: int, cover: str = "faces",
         step = max(1, len(cells) // 48)
         pts = grid.coords(cells[::step])
         pad = float(grid.h) * 1.4143
-        pairs = orb_distances(pts[:, None], pts[None, :])[np.triu_indices(len(pts), 1)]
+        pairs = orb_distances(pts[:, None], pts[None, :])[_upper_pairs(len(pts))]
         return float(pairs.max(initial=0.0)) + pad
 
     def samples(payload: frozenset[Cell], k: int, rng: np.random.Generator) -> list[OrbPoint]:
@@ -403,7 +421,7 @@ def pillowcase_adapter(a, resolution: int, cover: str = "faces",
 
     return Adapter(
         name=f"pillowcase(a={grid.a}, 2^-{resolution} grid)",
-        evaluate=lambda p: pillow_map(grid.a, p),
+        evaluate=lambda p: _pillow_map(grid.a, p),
         initial_cover=initial,
         preimage_components=components,
         diameter=diameter,
@@ -443,25 +461,22 @@ def menger_adapter(params: MengerParams) -> Adapter:
     def neighbors(cell: tuple[int, ...]) -> list[tuple[int, ...]]:
         return [cell[:axis] + (cell[axis] + delta,) + cell[axis + 1:] for axis, delta in steps]
 
+    def preimage_cells(cell: tuple[int, ...], scale: int) -> Iterator[tuple[int, ...]]:
+        return itertools.product(*[(c, 2 * scale - 1 - c, 2 * scale + c) for c in cell])
+
     def components(payload: CubeCells) -> list[tuple[CubeCells, int]]:
         scale = 3 ** payload.level
         pre = set()
         for cell in payload.cells:
-            options = [(c, 2 * scale - 1 - c, 2 * scale + c) for c in cell]
-            pre.update(itertools.product(*options))
+            pre.update(preimage_cells(cell, scale))
         comps = _flood_components(pre, neighbors)
-        target = next(iter(payload.cells))
-        y = center(payload.level, target)
-        fiber = list(itertools.product(*[(c / 3.0, (2.0 - c) / 3.0, (2.0 + c) / 3.0)
-                                         for c in y]))
-        degrees = []
-        for comp in comps:
-            count = 0
-            for point in fiber:
-                cell = tuple(min(int(c * 3 * scale), 3 * scale - 1) for c in point)
-                if cell in comp:
-                    count += 1
-            degrees.append(max(1, count))
+        # the degree over a component is the number of the 3^k fiber cells of
+        # one target cell that it holds
+        fiber = list(preimage_cells(next(iter(payload.cells)), scale))
+        degrees = [sum(cell in comp for cell in fiber) for comp in comps]
+        if min(degrees, default=1) == 0 or sum(degrees) != 3 ** k:
+            raise ValueError(f"folded-cube degrees {degrees} over a level-{payload.level} "
+                             f"element do not certify a degree-{3 ** k} cover")
         return [(CubeCells(payload.level + 1, comp), deg)
                 for comp, deg in zip(comps, degrees)]
 

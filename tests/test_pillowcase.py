@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,10 +11,17 @@ from cxcdyn.pillowcase import (CONE_POINTS, CRITICAL_POINTS, HSQUEEZE, SHEAR,
                                involution, mat_vec, orb_distance, orb_point,
                                perturbation, pillow_map, postcritical_set, preimages,
                                singular_values, tent, tent_orbit)
-from cxcdyn.pillowcase import core, shuffle_atlas, skeleton_forward_invariance, tiling
+from cxcdyn.pillowcase import (LatticeError, LatticeMap, core, shuffle_atlas,
+                               skeleton_forward_invariance, tiling)
 from cxcdyn.pillowcase.core import halvings
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=64)
+
+
+def fraction_pillow_map(a, p):
+    """The map on Fractions that the lattice map replaced: the corner shuffle
+    after doubling."""
+    return core._shuffle(a, doubling(p))
 
 
 def test_orb_point_examples():
@@ -334,3 +342,92 @@ def test_continuity_in_the_parameter():
                   for step in (F(1, 32), F(1, 128), F(1, 512))]
     assert all(d <= 8.0 * float(s) for d, s in zip(deviations, (F(1, 32), F(1, 128), F(1, 512))))
     assert deviations[0] > deviations[1] > deviations[2]
+
+
+# --- the forward map on the integer lattice -----------------------------------
+
+family_parameters = st.one_of(
+    st.sampled_from([F(0), F(1, 64), F(3, 40), F(6, 67), F(1, 8)]),
+    st.fractions(min_value=0, max_value=F(1, 8), max_denominator=1000))
+unit = st.fractions(min_value=0, max_value=1, max_denominator=200)
+
+
+@st.composite
+def family_points(draw):
+    """A parameter and a point: random p/q, or one whose double lies on an edge
+    of the shuffle atlas, on x in {0, 1/2} or y = 0, or at a cone point."""
+    a = draw(family_parameters)
+    kind = draw(st.sampled_from(["random", "atlas edge", "skeleton line", "cone point"]))
+    if kind == "random":
+        return a, orb_point(draw(rationals), draw(rationals))
+    if kind == "atlas edge" and a > 0:
+        domain = draw(st.sampled_from(shuffle_atlas(a))).domain
+        k, t = draw(st.integers(0, 2)), draw(unit)
+        (x1, y1), (x2, y2) = domain[k], domain[(k + 1) % 3]
+        target = (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
+    elif kind == "cone point" or kind == "atlas edge":
+        c = draw(st.sampled_from(CONE_POINTS))
+        target = (c.x, c.y)
+    else:
+        t = draw(unit) - F(1, 2)
+        target = draw(st.sampled_from([(F(0), t), (F(1, 2), t), (abs(t), F(0))]))
+    # the target itself, or one of the four points doubling onto it
+    branch = draw(st.integers(0, 4))
+    (x, y), = (target,) if branch == 4 else halvings((target,))[branch]
+    return a, orb_point(x, y)
+
+
+@settings(max_examples=400, deadline=None)
+@given(family_points())
+def test_lattice_map_matches_the_fraction_map(case):
+    a, p = case
+    expected = fraction_pillow_map(a, p)
+    assert pillow_map(a, p) == expected
+    # any admissible lattice gives the same point
+    scale = 4 * math.lcm(p.x.denominator, p.y.denominator, a.denominator) * 3
+    x, y = LatticeMap(a, scale)(p.x.numerator * scale // p.x.denominator,
+                                p.y.numerator * scale // p.y.denominator)
+    assert (F(x, scale), F(y, scale)) == (expected.x, expected.y)
+
+
+def test_lattice_map_on_the_cone_points_and_at_zero():
+    for a in (F(0), F(1, 64), F(3, 40), F(6, 67), F(1, 8)):
+        for p in CONE_POINTS + CRITICAL_POINTS:
+            assert pillow_map(a, p) == fraction_pillow_map(a, p)
+    for p in CRITICAL_POINTS:
+        assert pillow_map(0, p) == doubling(p)
+
+
+def test_forward_map_inexact_division_raises_naming_the_parameter():
+    # the atlas vertex 1/2 - a/2 = 7/16 is not on the lattice (1/8)Z^2
+    with pytest.raises(LatticeError, match=r"forward map at a = 1/8 leaves the lattice "
+                                           r"\(1/8\)Z\^2: 56/16 is not an integer"):
+        LatticeMap(F(1, 8), 8)
+    # over 18 the atlas fits, but the shear moves (8, 8) to x = 15/2
+    fmap = LatticeMap(F(1, 9), 18)
+    with pytest.raises(LatticeError, match=r"forward map at a = 1/9 leaves the lattice "
+                                           r"\(1/18\)Z\^2: 15/2 is not an integer"):
+        fmap(4, 4)
+    assert fmap(1, 1) == (2, 2)  # off the corner squares nothing is divided
+    assert issubclass(LatticeError, RuntimeError)  # the CLI reports it with exit 1
+    assert LatticeError is tiling.LatticeError
+
+
+def test_differential_report_samples_the_seeded_corner_points(monkeypatch):
+    def recording(fmap, x, y):
+        mapped.append((F(x, fmap.scale), F(y, fmap.scale)))
+        return real(fmap, x, y)
+
+    mapped, real = [], LatticeMap.__call__
+    monkeypatch.setattr(LatticeMap, "__call__", recording)
+    a, denom = F(3, 40), 2**20
+    assert differential_report(a, samples=50, seed=7).samples_checked == 50
+    rng = np.random.default_rng(7)  # two scalar draws per sample, as ever
+    corner = [(F(1, 2) - a + F(int(rng.integers(0, denom + 1)), denom) * a,
+               F(1, 2) - a + F(int(rng.integers(0, denom + 1)), denom) * a) for _ in range(50)]
+    assert mapped == corner
+
+
+def test_family_deviation_needs_a_grid():
+    with pytest.raises(ValueError, match="grid must be at least 1"):
+        family_deviation(F(1, 8), F(1, 64), grid=0)

@@ -1,18 +1,21 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cxcdyn.gdms import build_interval_system
 from cxcdyn.graphs import make_graph
 from cxcdyn.menger import MengerParams
-from cxcdyn.pillowcase.core import orb_distance, orb_distances, orb_point
+from cxcdyn.pillowcase.core import _shuffle, doubling, orb_distance, orb_distances, orb_point
 from cxcdyn.verify import (Adapter, build_covers, degree_report, dendrite_adapter,
                            distortion_report, eventually_onto_check, gdms_adapter,
                            menger_adapter, pillowcase_adapter, roundness,
                            skew_adapter, snowflake_fit, visual_metric_check)
+from cxcdyn.verify import adapters
 from cxcdyn.verify.adapters import _PillowGrid, _flood_components
 
 
@@ -99,6 +102,42 @@ def test_degree_monotone_under_initial_refinement():
     deg_coarse = degree_report(build_covers(coarse, 1), 1)
     deg_fine = degree_report(build_covers(fine, 1), 1)
     assert deg_fine <= deg_coarse
+
+
+def float_fiber_degrees(parent, children):
+    """The folded-cube degrees as the float fiber of the parent's first cell
+    gave them: its 3^k preimage points, located by truncation."""
+    scale = 3 ** parent.level
+    y = [(2 * c + 1) / (2 * scale) for c in next(iter(parent.cells))]
+    fiber = itertools.product(*[(c / 3.0, (2.0 - c) / 3.0, (2.0 + c) / 3.0) for c in y])
+    cells = [tuple(min(int(c * 3 * scale), 3 * scale - 1) for c in point) for point in fiber]
+    return [sum(cell in child.cells for cell in cells) for child in children]
+
+
+@pytest.mark.parametrize("n, k, depth", [(0, 2, 3), (1, 3, 2), (0, 3, 2)])
+def test_folded_cube_degrees_match_the_float_fiber(n, k, depth):
+    covers = build_covers(menger_adapter(MengerParams(n=n, k=k, factors=(3,) * k)), depth)
+    for level in covers.levels[1:]:
+        children: dict[int, list] = {}
+        for element in level:
+            children.setdefault(id(element.parent), []).append(element)
+        for siblings in children.values():
+            degrees = float_fiber_degrees(siblings[0].parent.payload,
+                                          [e.payload for e in siblings])
+            assert [e.degree_over_parent for e in siblings] == degrees
+            assert min(degrees) > 0 and sum(degrees) == 3 ** k
+
+
+@pytest.mark.parametrize("doctor", ["extra component", "missing component"])
+def test_folded_cube_uncertified_degrees_raise(monkeypatch, doctor):
+    def doctored(cells, neighbors):
+        comps = flood(cells, neighbors)
+        return comps + [frozenset({(-9, -9)})] if doctor == "extra component" else comps[1:]
+
+    flood = adapters._flood_components
+    monkeypatch.setattr(adapters, "_flood_components", doctored)
+    with pytest.raises(ValueError, match="level-1 element"):
+        build_covers(menger_adapter(MengerParams(n=0, k=2, factors=(3, 3))), 1)
 
 
 def test_menger_adapter_smoke():
@@ -419,3 +458,36 @@ def test_flood_components_partition_the_input():
     for comp in comps:
         others = cells - comp
         assert not any(nb in others for cell in comp for nb in axis_neighbors(cell))
+
+
+# --- the raster image map on the integer lattice -------------------------------
+
+def fraction_pillow_map(a, p):
+    """The map on Fractions that the lattice map replaced: the corner shuffle
+    after doubling."""
+    return _shuffle(a, doubling(p))
+
+
+def fraction_cell_of(grid, p):
+    """The cell lookup on Fractions that integer floor division replaced."""
+    return (min(int(p.x / grid.h), grid.nx - 1),
+            min(int((p.y + Fraction(1, 2)) / grid.h), grid.ny - 1))
+
+
+@pytest.mark.parametrize("a", ["0", "1/64", "3/40", "6/67", "1/8"])
+def test_image_map_matches_the_fraction_map(a):
+    for resolution in range(3, 8):
+        grid = _PillowGrid(Fraction(a), resolution)
+        images = [[fraction_pillow_map(grid.a, grid.center((i, j))) for j in range(grid.ny)]
+                  for i in range(grid.nx)]
+        expected = [[grid.flat(fraction_cell_of(grid, q)) for q in row] for row in images]
+        assert grid.image_map.tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=-2, max_value=2, max_denominator=300),
+       st.fractions(min_value=-2, max_value=2, max_denominator=300), st.integers(1, 7))
+def test_cell_of_matches_the_fraction_lookup(x, y, resolution):
+    grid = _PillowGrid(Fraction(1, 8), resolution)
+    for p in (orb_point(x, y), orb_point(Fraction(1, 2), y), orb_point(x, Fraction(1, 2))):
+        assert grid.cell_of(p) == fraction_cell_of(grid, p)
