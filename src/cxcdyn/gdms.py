@@ -83,6 +83,8 @@ def build_interval_system(g: WeightedDigraph, alpha: float,
     vector exists.  cross_distance defaults to max(w) = 1, which strictly
     exceeds the max(w)/2 bound the triangle inequality needs.
     """
+    if not g.edges:
+        raise ValueError("graph has no edges; the repellor is empty")
     perron = perron_vector(g, alpha)
     w = tuple(float(x) for x in perron.vector)
     max_w = max(w)

@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from ..gdms import (Cylinder, GDMSPoint, IntervalSystem, apply_map, base_cylinder,
-                    cylinder_from_word, distance, edge_path, pull_back)
+                    cylinder_from_word, distance, edge_path, pull_back_cover)
 from ..menger import MengerParams, expanding_map
 from ..pillowcase.core import HALF, LatticeMap, OrbPoint, _pillow_map, check_parameter, \
     orb_distance, orb_distances, orb_point, preimages
@@ -61,8 +61,7 @@ def gdms_adapter(sys: IntervalSystem, snowflaked: bool = False) -> Adapter:
         return [base_cylinder(sys, b.vertex) for b in sys.bases]
 
     def components(cyl: Cylinder) -> list[tuple[Cylinder, int]]:
-        return [(pull_back(sys, b, cyl), 1)
-                for b in sys.branches if b.dst == cyl.component]
+        return [(c, 1) for c in pull_back_cover(sys, [cyl])]
 
     def samples(cyl: Cylinder, k: int, rng) -> list[GDMSPoint]:
         return [GDMSPoint(cyl.component, cyl.left + Fraction(i + 1, k + 1) * cyl.length)
@@ -106,87 +105,63 @@ class SkewCell:
 
 
 def skew_adapter(sys: IntervalSystem, arcs0: Optional[int] = None) -> Adapter:
-    alpha = sys.alpha
-    max_degree = max(b.degree for b in sys.branches)
+    base = gdms_adapter(sys, snowflaked=True)
     if arcs0 is None:
-        arcs0 = 2 * max_degree + 1  # initial arc extent below 1/(2 max degree)
+        # initial arc extent below 1/(2 max degree)
+        arcs0 = 2 * max(b.degree for b in sys.branches) + 1
+    elif arcs0 < 1:
+        raise ValueError(f"arcs0 must be >= 1, got {arcs0}")
 
     def initial() -> list[SkewCell]:
-        return [SkewCell(base_cylinder(sys, b.vertex), i / arcs0, 1.0 / arcs0)
-                for b in sys.bases for i in range(arcs0)]
+        return [SkewCell(cyl, i / arcs0, 1.0 / arcs0)
+                for cyl in base.initial_cover() for i in range(arcs0)]
 
     def components(cell: SkewCell) -> list[tuple[SkewCell, int]]:
         out = []
-        for b in sys.branches:
-            if b.dst != cell.cylinder.component:
-                continue
-            cyl = pull_back(sys, b, cell.cylinder)
+        for cyl, _ in base.preimage_components(cell.cylinder):
+            degree = sys.branches[cyl.word[0]].degree
             if cell.arc_length >= 1.0:
-                out.append((SkewCell(cyl, 0.0, 1.0), b.degree))
+                out.append((SkewCell(cyl, 0.0, 1.0), degree))
             else:
-                for i in range(b.degree):
-                    start = ((cell.arc_start + i) / b.degree) % 1.0
-                    out.append((SkewCell(cyl, start, cell.arc_length / b.degree), 1))
+                for i in range(degree):
+                    start = ((cell.arc_start + i) / degree) % 1.0
+                    out.append((SkewCell(cyl, start, cell.arc_length / degree), 1))
         return out
 
-    def arc_diameter(length: float) -> float:
-        return min(length, 0.5)
-
-    def diameter(cell: SkewCell) -> float:
-        return cell.cylinder.length ** alpha + arc_diameter(cell.arc_length)
-
     def samples(cell: SkewCell, k: int, rng) -> list[SkewPoint]:
-        cyl = cell.cylinder
-        pts = []
-        for i in range(k):
-            frac = (i + 1) / (k + 1)
-            base = GDMSPoint(cyl.component, cyl.left + frac * cyl.length)
-            angle = (cell.arc_start + frac * cell.arc_length) % 1.0
-            pts.append(SkewPoint(base, angle))
-        return pts
-
-    def arc_position(cell: SkewCell, angle: float) -> float:
-        return (angle - cell.arc_start) % 1.0
+        points = base.sample_points(cell.cylinder, k, rng)
+        return [SkewPoint(p, (cell.arc_start + (i + 1) / (k + 1) * cell.arc_length) % 1.0)
+                for i, p in enumerate(points)]
 
     def dtc(cell: SkewCell, p: SkewPoint) -> float:
-        cyl = cell.cylinder
-        base_exit = min(p.base.coordinate - cyl.left, cyl.right - p.base.coordinate) ** alpha
+        base_exit = base.distance_to_complement(cell.cylinder, p.base)
         if cell.arc_length >= 1.0:
             return base_exit
-        u = arc_position(cell, p.angle)
+        u = (p.angle - cell.arc_start) % 1.0
         if u > cell.arc_length:
             return 0.0
         return min(base_exit, u, cell.arc_length - u)
 
     def outradius(cell: SkewCell, p: SkewPoint) -> float:
-        cyl = cell.cylinder
-        base_out = max(p.base.coordinate - cyl.left, cyl.right - p.base.coordinate) ** alpha
-        if cell.arc_length >= 1.0:
-            return base_out + 0.5
-        u = arc_position(cell, p.angle)
-        return base_out + min(max(u, cell.arc_length - u), 0.5)
+        # on the full circle max(u, 1 - u) >= 1/2, so the arc term is 1/2
+        u = (p.angle - cell.arc_start) % 1.0
+        return base.outradius(cell.cylinder, p.base) + min(max(u, cell.arc_length - u), 0.5)
 
     def subset(small: SkewCell, big: SkewCell) -> bool:
-        if small.cylinder.component != big.cylinder.component:
-            return False
-        if small.cylinder.word[:len(big.cylinder.word)] != big.cylinder.word:
-            return False
-        if big.arc_length >= 1.0:
-            return True
         offset = (small.arc_start - big.arc_start) % 1.0
-        return offset + small.arc_length <= big.arc_length + 1e-12
+        return base.is_subset(small.cylinder, big.cylinder) and (
+            big.arc_length >= 1.0 or offset + small.arc_length <= big.arc_length + 1e-12)
 
     return Adapter(
-        name=f"skew(alpha={alpha})",
+        name=f"skew(alpha={sys.alpha})",
         evaluate=lambda p: skew_map(sys, p),
         initial_cover=initial,
         preimage_components=components,
-        diameter=diameter,
+        diameter=lambda c: base.diameter(c.cylinder) + min(c.arc_length, 0.5),
         metric=lambda p, q: skew_distance(sys, p, q),
         sample_points=samples,
-        basepoint=lambda c: SkewPoint(
-            GDMSPoint(c.cylinder.component, c.cylinder.left + c.cylinder.length / 2),
-            (c.arc_start + c.arc_length / 2) % 1.0),
+        basepoint=lambda c: SkewPoint(base.basepoint(c.cylinder),
+                                      (c.arc_start + c.arc_length / 2) % 1.0),
         distance_to_complement=dtc,
         outradius=outradius,
         is_subset=subset,

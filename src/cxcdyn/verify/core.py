@@ -70,7 +70,7 @@ class CoverElement:
         node, product = self, 1
         for _ in range(k):
             product *= node.degree_over_parent
-            node = node.parent
+            node = node.ancestor(1)
         return product
 
 
@@ -229,33 +229,32 @@ def distortion_report(adapter: Adapter, covers: CoverSequence, k_max: int = 2,
                     round_pairs.append((down.level, k, down_round, up_round))
                     total += 1
 
+    # the k-step pullbacks of each capped element, read off the cover tree once
+    pullbacks = {}
+    for k in range(1, k_max + 1):
+        for m in range(k, len(covers.levels)):
+            groups = pullbacks[m, k] = {}
+            for e in covers.levels[m][:element_cap]:
+                groups.setdefault(id(e.ancestor(k)), []).append(e)
+
     diam_pairs = []
     for n0, level in enumerate(covers.levels):
-        for inner_gap in (1, 2):
-            n1 = n0 + inner_gap
-            if n1 >= len(covers.levels):
-                continue
+        for n1 in range(n0 + 1, min(n0 + 3, len(covers.levels))):
             for small in covers.levels[n1][:element_cap]:
-                bigs = [e for e in level[:element_cap]
-                        if adapter.is_subset(small.payload, e.payload)]
-                if not bigs:
+                big = next((e for e in level[:element_cap]
+                            if adapter.is_subset(small.payload, e.payload)), None)
+                if big is None:
                     continue
-                big = bigs[0]
                 down_ratio = small.diameter / big.diameter
-                for k in range(1, k_max + 1):
-                    if n1 + k >= len(covers.levels):
-                        continue
-                    for tilde_small in covers.levels[n1 + k][:element_cap]:
-                        if tilde_small.ancestor(k) is not small:
-                            continue
-                        ups = [e for e in covers.levels[n0 + k][:element_cap]
-                               if e.ancestor(k) is big
-                               and adapter.is_subset(tilde_small.payload, e.payload)]
-                        if not ups:
-                            continue
-                        up_ratio = tilde_small.diameter / ups[0].diameter
-                        diam_pairs.append((n0, n1, k, down_ratio, up_ratio))
-                        total += 1
+                for k in range(1, min(k_max, covers.depth - n1) + 1):
+                    ups = pullbacks[n0 + k, k].get(id(big), [])
+                    for tilde_small in pullbacks[n1 + k, k].get(id(small), []):
+                        up = next((e for e in ups
+                                   if adapter.is_subset(tilde_small.payload, e.payload)), None)
+                        if up is not None:
+                            up_ratio = tilde_small.diameter / up.diameter
+                            diam_pairs.append((n0, n1, k, down_ratio, up_ratio))
+                            total += 1
     return DistortionReport(roundness_pairs=round_pairs, diam_pairs=diam_pairs, samples=total)
 
 

@@ -50,6 +50,21 @@ def test_dim_invalid_graph_exits_one(capsys, tmp_path):
     assert "witness" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["gdms", "boxdim", "--alpha", "1/2"],
+    ["gdms", "cover", "--alpha", "1/2", "--depth", "2"],
+    ["skew", "boxdim", "--alpha", "1/2"],
+    ["skew", "scaling", "--alpha", "1/2"],
+    ["verify", "gdms", "--alpha", "1/2"],
+])
+def test_edgeless_graph_exits_one(capsys, tmp_path, argv):
+    path = tmp_path / "edgeless.g"
+    path.write_text("vertices 1\n")
+    code, out, err = run(capsys, argv + ["--graph", str(path)])
+    assert code == 1 and out == ""
+    assert "graph has no edges; the repellor is empty" in err
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["dim"])  # missing required --graph
@@ -417,3 +432,59 @@ def test_pillow_cli_fuzz(action, a, depth, samples, point):
         if point is not None:
             argv.append(f"--point={','.join(point)}")
         assert_ends_cleanly(argv)
+
+
+_DEGREE = st.one_of(st.integers(2, 5), st.integers(2, 5), st.integers(1, 5),
+                    st.sampled_from([2**62, 10**30, 10**400])).map(str)
+_MALFORMED_LINE = st.one_of(
+    st.builds(lambda c: f"vertices {c}", st.sampled_from(["0", "-1", "3.5", "x", "", "1 2"])),
+    st.lists(st.one_of(st.integers(0, 6).map(str), _DEGREE,
+                       st.sampled_from(["-1", "2.0", "x", "", "1e3", "\uff11"])), max_size=5)
+    .map(lambda fields: " ".join(["edge"] + fields)),
+    st.sampled_from(["", "# a comment", "   ", "edge", "vertex 2", "\t# tab", "nodes 3"]))
+
+
+@st.composite
+def _graph_texts(draw):
+    """A graph file on 1-5 vertices: in-range edges, in half the draws mixed
+    with malformed lines."""
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(1, n).map(str)
+    edge = st.builds(lambda s, d, w, note: f"edge {s} {d} {w}{note}", vertex, vertex, _DEGREE,
+                     st.sampled_from(["", "", "  # trailing"]))
+    header = draw(st.sampled_from([f"vertices {n}", f"vertices {n}", f"# a graph\nvertices {n}",
+                                   f"vertices {n}  # trailing", ""]))
+    lines = draw(st.lists(st.one_of(edge, edge, edge, _MALFORMED_LINE) if draw(st.booleans())
+                          else edge, max_size=6))
+    if draw(st.booleans()):
+        # a ring through every vertex plus one more edge out of each: often a valid graph
+        lines = [f"edge {v} {v % n + 1} {draw(_DEGREE)}" for v in range(1, n + 1)] + [
+            f"edge {v} {draw(vertex)} {draw(_DEGREE)}" for v in range(1, n + 1)] + lines
+    return "\n".join([header] + lines)
+
+
+_GRAPH_COMMANDS = [
+    ["graph"],
+    ["dim"],
+    ["dim", "--mode", "hausdorff", "--alpha", "1/2"],
+    ["gdms", "boxdim", "--alpha", "1/2"],
+    ["skew", "scaling", "--alpha", "1/2", "--pairs", "10"],
+    ["verify", "gdms", "--alpha", "1/2", "--depth", "2"],
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=_graph_texts(),
+       junk=st.one_of(st.just(b""), st.just(b""), st.binary(min_size=1, max_size=6),
+                      st.sampled_from([b"\xff\xfe", b"\x80", b"\xc3\x28", b"\x00"])))
+def test_graph_file_cli_fuzz(text, junk):
+    """Every command that reads a graph file ends in exit 0, 1 or 2 on
+    well-formed and malformed files alike, non-UTF-8 bytes included.
+    Vertex counts stay at most 5, so a run over 5 s means an unbounded loop."""
+    text = text.encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.g")
+        with open(path, "wb") as handle:
+            handle.write(text[:len(text) // 2] + junk + text[len(text) // 2:])
+        for argv in _GRAPH_COMMANDS:
+            assert_ends_cleanly(argv + ["--graph", path])

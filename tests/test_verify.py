@@ -9,14 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from cxcdyn.gdms import build_interval_system
 from cxcdyn.graphs import make_graph
-from cxcdyn.menger import MengerParams
+from cxcdyn.menger import MengerParams, sponge_params
 from cxcdyn.pillowcase.core import _shuffle, doubling, orb_distance, orb_distances, orb_point
 from cxcdyn.verify import (Adapter, build_covers, degree_report, dendrite_adapter,
                            distortion_report, eventually_onto_check, gdms_adapter,
                            menger_adapter, pillowcase_adapter, roundness,
                            skew_adapter, snowflake_fit, visual_metric_check)
+from cxcdyn.pillowcase.tiling import subdivide
 from cxcdyn.verify import adapters
 from cxcdyn.verify.adapters import _PillowGrid, _flood_components
+from cxcdyn.verify.core import DistortionReport, _evaluate_k
 
 
 # --- refine / mesh ----------------------------------------------------------
@@ -88,6 +90,19 @@ def test_skew_small_arcs_degree_one(standard_system):
 def test_skew_full_circle_degree(standard_system):
     covers = build_covers(skew_adapter(standard_system, arcs0=1), 2)
     assert degree_report(covers, 1) == 2  # whole-circle elements wind twice
+
+
+@pytest.mark.parametrize("arcs0", [0, -3])
+def test_skew_arcs0_below_one_rejected(standard_system, arcs0):
+    with pytest.raises(ValueError, match="arcs0"):
+        skew_adapter(standard_system, arcs0)
+
+
+def test_chain_degree_past_the_root_raises(standard_system):
+    leaf = build_covers(skew_adapter(standard_system, arcs0=1), 2).levels[2][0]
+    assert leaf.chain_degree(2) == 4
+    with pytest.raises(ValueError, match="chain shorter than k"):
+        leaf.chain_degree(3)
 
 
 def test_pillowcase_disk_degrees_bounded():
@@ -235,6 +250,56 @@ def test_pillowcase_distortion_csv_pinned(eighth, cover, resolution, depth, dige
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _locate(point, polygon):
+    """1 if the integer point lies strictly inside the integer polygon, 0 on
+    its boundary, -1 outside: exact crossing-number test."""
+    px, py = point
+    inside = False
+    for (x1, y1), (x2, y2) in zip(polygon, polygon[1:] + polygon[:1]):
+        cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
+        if cross == 0 and min(x1, x2) <= px <= max(x1, x2) and min(y1, y2) <= py <= max(y1, y2):
+            return 0
+        if (y1 > py) != (y2 > py) and (cross > 0) == (y2 > y1):
+            inside = not inside
+    return 1 if inside else -1
+
+
+@pytest.mark.parametrize("a", ["0", "1/64", "3/40", "1/8"])
+def test_faces_cover_is_the_rasterized_tiling(a):
+    """Each level-n raster element is the cells whose centers lie strictly
+    inside one tile of subdivide(a, n), up to cells centered on the tile's
+    boundary, and the match is one to one."""
+    resolution, ny = 6, 2**6
+    covers = build_covers(pillowcase_adapter(Fraction(a), resolution, "faces"), 3)
+    for n, level in enumerate(covers.levels):
+        tiles = subdivide(Fraction(a), n).cells
+        # integer coordinates over a denominator shared by the tiles and the
+        # cell centers; center of cell (i, j) is ((2i + 1) unit, (2j + 1) unit - half)
+        scale = math.lcm(2 * ny, *(c.denominator for t in tiles for v in t.vertices for c in v))
+        unit, half = scale // (2 * ny), scale // 2
+        interior, closure = [], []
+        for tile in tiles:
+            polygon = [(int(x * scale), int(y * scale)) for x, y in tile.vertices]
+            xs, ys = [x for x, _ in polygon], [y + half for _, y in polygon]
+            inside, edge = set(), set()
+            # only the cells centered in the tile's bounding box
+            for i in range(max(0, (min(xs) // unit - 1) // 2), max(xs) // unit // 2 + 1):
+                for j in range(max(0, (min(ys) // unit - 1) // 2), max(ys) // unit // 2 + 1):
+                    where = _locate(((2 * i + 1) * unit, (2 * j + 1) * unit - half), polygon)
+                    if where >= 0:
+                        (inside if where else edge).add((i, j))
+            interior.append(inside)
+            closure.append(inside | edge)
+        owner = {cell: k for k, cells in enumerate(interior) for cell in cells}
+        matched = []
+        for element in level:
+            hits = {owner[c] for c in element.payload if c in owner}
+            hits = [k for k in hits if interior[k] <= element.payload <= closure[k]]
+            assert len(hits) == 1, (n, element.uid, hits)
+            matched += hits
+        assert sorted(matched) == list(range(len(tiles))) and len(tiles) == 2 * 4**n
+
+
 def test_center_table_is_the_exact_centers():
     grid = _PillowGrid(Fraction(1, 8), 5)
     assert grid.xy.shape == (grid.nx, grid.ny, 2)
@@ -297,6 +362,113 @@ def test_pillowcase_hooks_pinned(eighth, cover, resolution, count, digest):
                                 "0x1.c48f6dfbd154cp-4")
     text = "\n".join(",".join(map(str, row)) for row in rows)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def rescanning_distortion_report(adapter, covers, k_max=2, samples_per_element=2, seed=0,
+                                 element_cap=200):
+    """The sampler before the k-step pullbacks were read off the cover tree:
+    each diameter pair rescans whole capped levels through ``ancestor``."""
+    rng = np.random.default_rng(seed)
+    round_pairs = []
+    total = 0
+    for level in covers.levels:
+        for element in level[:element_cap]:
+            for k in range(1, min(k_max, element.level) + 1):
+                down = element.ancestor(k)
+                for tilde_y in adapter.sample_points(element.payload, samples_per_element, rng):
+                    y = _evaluate_k(adapter, tilde_y, k)
+                    try:
+                        up_round = roundness(adapter, element.payload, tilde_y)
+                        down_round = roundness(adapter, down.payload, y)
+                    except ValueError:
+                        continue
+                    round_pairs.append((down.level, k, down_round, up_round))
+                    total += 1
+
+    diam_pairs = []
+    for n0, level in enumerate(covers.levels):
+        for inner_gap in (1, 2):
+            n1 = n0 + inner_gap
+            if n1 >= len(covers.levels):
+                continue
+            for small in covers.levels[n1][:element_cap]:
+                bigs = [e for e in level[:element_cap]
+                        if adapter.is_subset(small.payload, e.payload)]
+                if not bigs:
+                    continue
+                big = bigs[0]
+                down_ratio = small.diameter / big.diameter
+                for k in range(1, k_max + 1):
+                    if n1 + k >= len(covers.levels):
+                        continue
+                    for tilde_small in covers.levels[n1 + k][:element_cap]:
+                        if tilde_small.ancestor(k) is not small:
+                            continue
+                        ups = [e for e in covers.levels[n0 + k][:element_cap]
+                               if e.ancestor(k) is big
+                               and adapter.is_subset(tilde_small.payload, e.payload)]
+                        if not ups:
+                            continue
+                        up_ratio = tilde_small.diameter / ups[0].diameter
+                        diam_pairs.append((n0, n1, k, down_ratio, up_ratio))
+                        total += 1
+    return DistortionReport(roundness_pairs=round_pairs, diam_pairs=diam_pairs, samples=total)
+
+
+MIXED = make_graph(2, [(1, 2, 2), (1, 2, 2), (2, 1, 3), (2, 2, 2)])
+TWO_LOOPS = make_graph(1, [(1, 1, 2)] * 2)
+FOUR_LOOPS = make_graph(1, [(1, 1, 3)] * 4)  # four degree-3 loops
+_PILLOW_SAMPLING = dict(k_max=3, samples_per_element=1, element_cap=40)
+
+
+@pytest.mark.parametrize("make_adapter, depth, options", [
+    (lambda two: gdms_adapter(two), 8, {}),
+    (lambda two: gdms_adapter(build_interval_system(MIXED, 0.5)), 5, dict(k_max=3)),
+    (lambda two: skew_adapter(two), 4, dict(element_cap=60)),
+    (lambda two: pillowcase_adapter(Fraction(1, 8), 6, "faces"), 3, _PILLOW_SAMPLING),
+    (lambda two: pillowcase_adapter(Fraction(1, 8), 5, "disks"), 2, _PILLOW_SAMPLING),
+    # wide disks overlap, so a small element lies in several bigs and the first must win
+    (lambda two: pillowcase_adapter(Fraction(1, 8), 5, "disks", disk_radius=0.22), 2,
+     _PILLOW_SAMPLING),
+    (lambda two: menger_adapter(sponge_params(n=1, k=3)), 2, dict(k_max=1, element_cap=30)),
+    (lambda two: dendrite_adapter(), 8, {}),
+], ids=["gdms", "gdms-mixed", "skew", "pillow-faces", "pillow-disks", "pillow-wide-disks",
+        "folded-cube", "dendrite"])
+def test_distortion_report_matches_the_rescanning_oracle(standard_system, make_adapter,
+                                                         depth, options):
+    adapter = make_adapter(standard_system)
+    covers = build_covers(adapter, depth)
+    report = distortion_report(adapter, covers, **options)
+    expected = rescanning_distortion_report(adapter, covers, **options)
+    same_csv = report.to_csv() == expected.to_csv()  # spares pytest a diff of 10^4 lines
+    assert report.samples > 0 and same_csv and report.samples == expected.samples
+
+
+# SHA-256 of the depth-3 skew cover rows (uid, payload, degree, diameter.hex())
+# and of its distortion CSV at element_cap 60, pinned before the skew adapter
+# was rebuilt on the gdms adapter
+@pytest.mark.parametrize("graph, arcs0, rows_digest, csv_digest", [
+    (MIXED, None, "84e3f2fb4f8453431981e4106b03acbbd9b94bfc11aafedefb17f405fe0bfc24",
+     "47115230811508285d3848d53067fedc65c6d5222cd01e1f4ac71b881f8f8630"),
+    (MIXED, 1, "4d45eceba42b1035c060d780445e97dfb3b4ce14c2b7b919ab51fd9da9318886",
+     "0c32167859c7ff60e33d06461b8f2b9981af758695d68a7ce328b5bb99fcb1b0"),
+    (TWO_LOOPS, None, "25aa8895ba188d33cb783294a711cd1e90afb31f4ae43cd5ea34c2b9b947426d",
+     "b9271bc392ad823548e3485ec942915fec686dda9ac818c2d57bbcd650e1eaff"),
+    (TWO_LOOPS, 1, "dc2fd1b01cd481e7639dd2807472d9cde396ca65adb8d55142e12d4ecf67884c",
+     "8aec78387b053b9250a59e1f96c79165b85f3c52560d1c3b7bbda574da1edbf9"),
+    (FOUR_LOOPS, None, "0e339a394ef11353d86c4ed0a46cead9c493ef50ffca7b832bf4bc466a06443b",
+     "83fe25df4146ebc2a0d89aec492b1230cae2555ad229a9f1e188fa4123e309d7"),
+    (FOUR_LOOPS, 1, "0a80b807c688f5256cab9e5d52688708230301c09066f321f60593554dfcf1e7",
+     "674e8072e02e20120358b005d514e5165eb30611c14bdcf9894cdab5cba96afc"),
+])
+def test_skew_cover_and_distortion_pinned(graph, arcs0, rows_digest, csv_digest):
+    adapter = skew_adapter(build_interval_system(graph, 0.5), arcs0)
+    covers = build_covers(adapter, 3)
+    rows = "\n".join(f"{e.uid},{e.payload!r},{e.degree_over_parent},{e.diameter.hex()}"
+                     for level in covers.levels for e in level)
+    text = distortion_report(adapter, covers, element_cap=60).to_csv()
+    assert hashlib.sha256(rows.encode()).hexdigest() == rows_digest
+    assert hashlib.sha256(text.encode()).hexdigest() == csv_digest
 
 
 def test_distortion_csv_format(standard_system):
