@@ -138,9 +138,14 @@ def solve_exponent(g: WeightedDigraph, mode: str = "conformal",
     is delta = alpha * s: one conformal solve to tol / alpha, with the
     bracket and the trace scaled by alpha, keeps the delta bracket tol wide.
     The solver brackets by doubling and bisects, exploiting that the radius
-    is strictly decreasing in the exponent.  The graph is validated once,
-    here; the radius evaluations skip the check.
+    is strictly decreasing in the exponent, until the bracket is tol wide (tol
+    finite and positive) or its ends are adjacent floats.  The graph is
+    validated once, here; the radius evaluations skip the check.
     """
+    if not 0.0 < tol < float("inf"):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not g.edges:
+        raise ValueError("graph has no edges; the repellor is empty")
     report = validate_graph(g)
     if not report.irreducible:
         raise ValueError("graph is not irreducible")
@@ -179,6 +184,8 @@ def solve_exponent(g: WeightedDigraph, mode: str = "conformal",
             raise ValueError("no bracket found below exponent 2^20")
     while hi - lo > tol / scale:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink further
+            break
         if evaluate(mid) >= 1.0:
             lo = mid
         else:

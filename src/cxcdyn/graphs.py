@@ -2,9 +2,10 @@
 
 Everything downstream is driven by a directed multigraph whose edges carry
 positive integer degrees.  A graph is admissible when it is irreducible
-(every ordered vertex pair is joined by a directed path) and satisfies the
-No Levy Cycle condition: every simple cycle has degree product > 1 and
-traverses at least one arc supported by two or more parallel edges.
+(every ordered vertex pair is joined by a directed path of positive length,
+so a graph without edges is not) and satisfies the No Levy Cycle condition:
+every simple cycle has degree product > 1 and traverses at least one arc
+supported by two or more parallel edges.
 Checking simple cycles suffices because an arbitrary cycle decomposes into
 simple ones, degree products multiply, and a multi-edge arc of a constituent
 is a multi-edge arc of the whole.
@@ -211,7 +212,7 @@ def validate_graph(g: WeightedDigraph) -> GraphValidation:
         out[e.src].append(k)
         forward[e.src].append(e.dst)
         backward[e.dst].append(e.src)
-    irreducible = _reaches_all(forward, 1) and _reaches_all(backward, 1)
+    irreducible = bool(g.edges) and _reaches_all(forward, 1) and _reaches_all(backward, 1)
 
     arcs = Counter((e.src, e.dst) for e in g.edges)
     unit_degree = [e.degree == 1 for e in g.edges]

@@ -10,15 +10,14 @@ inverse, once for the pointwise maps here and the tile pullback in ``tiling``.
 Everything here is exact: coordinates, matrices, orbits, postcritical sets.
 Floats appear only in distances and in singular values.
 
-The forward map runs on integer numerators over one shared denominator S
-(``LatticeMap``): doubling is 2X mod S, canonicalization is ``orb_point`` on
-integers, and the shuffle atlas is scaled onto the lattice once
-(``Lattice.scaled_atlas``, shared with the tile pullback in ``tiling``).  Every
-division there is exact or raises ``LatticeError``.  ``Fraction`` remains at
-the boundary: the parameter, ``OrbPoint``, ``pillow_map`` (which picks S from
-its point and returns Fractions), the shuffle alone (``perturbation``), the
-inverse branches (``halvings``, ``preimages``), the tent orbit and the
-postcritical formula.
+The atlas is walked once, on integer numerators over one shared denominator
+S (``Lattice``): ``orb_point`` on integers, the atlas scaled onto the lattice,
+the move (matrix X + offset) / 2 and the inverse branches (X + m S) / 2 of
+doubling.  The forward map (``LatticeMap``: 2X mod S, then the shuffle), the
+shuffle alone (``perturbation``), the fibers (``preimages``) and the tile
+pullback in ``tiling`` all go through it; every division is exact or raises
+``LatticeError``.  ``Fraction`` remains at the boundary: the parameter,
+``OrbPoint``, the tent orbit and the postcritical formula.
 """
 
 from __future__ import annotations
@@ -234,13 +233,6 @@ class AffineRegion:
     matrix: Mat
     offset: Vec
 
-    def apply(self, p: Vec) -> Vec:
-        v = mat_vec(self.matrix, p)
-        return (v[0] + self.offset[0], v[1] + self.offset[1])
-
-
-IDENTITY_REGION = AffineRegion((), mat(1, 0, 0, 1), (Fraction(0), Fraction(0)))
-
 
 @functools.lru_cache(maxsize=64)
 def shuffle_atlas(a: Fraction, inverse: bool = False) -> tuple[AffineRegion, ...]:
@@ -266,49 +258,28 @@ def shuffle_atlas(a: Fraction, inverse: bool = False) -> tuple[AffineRegion, ...
     return tuple(regions)
 
 
-def locate(regions: Sequence[AffineRegion], p: Vec) -> AffineRegion:
-    """First region whose closed domain holds p; the identity off them all."""
-    for region in regions:
-        if point_in_triangle(p, region.domain):
-            return region
-    return IDENTITY_REGION
-
-
-def near_shuffle(a: Fraction, v: Vec) -> bool:
-    """Whether v in [0, 1/2] x [-1/2, 1/2] lies in one of the corner squares,
-    outside which the shuffle is the identity."""
-    return a != 0 and v[0] >= HALF - a and abs(v[1]) >= HALF - a
-
-
-def _shuffle(a: Fraction, p: OrbPoint, inverse: bool = False) -> OrbPoint:
-    v = (p.x, p.y)
-    if not near_shuffle(a, v):
-        return p
-    return orb_point(*locate(shuffle_atlas(a, inverse), v).apply(v))
-
-
-def perturbation(a: RatLike, p: OrbPoint, inverse: bool = False) -> OrbPoint:
-    """The symmetric homeomorphism supported on the corner square and its
-    reflection; the identity elsewhere."""
-    return _shuffle(check_parameter(a), p, inverse)
-
-
 # ---------------------------------------------------------------------------
-# the forward map on integer numerators over one shared denominator
+# the atlas walk on integer numerators over one shared denominator
 
 class LatticeError(RuntimeError):
     """A division on an integer lattice that is not exact."""
 
 
+LatticePoint = tuple[int, int]  # numerators over a lattice's scale
+ScaledRegion = tuple[tuple, tuple, tuple]  # triangle, row-major matrix, offset
+
+
 class Lattice:
-    """Points (X / scale, Y / scale) with integer numerators, for one ``a``.
-    ``context`` names the computation in the ``LatticeError`` of a division
-    that is not exact; nothing is rounded."""
+    """Points (X / scale, Y / scale) with integer numerators, for one ``a``:
+    the one walk of the shuffle atlas, shared by the forward map, the fibers
+    and the tile pullback.  ``context`` names the computation in the
+    ``LatticeError`` of a division that is not exact; nothing is rounded."""
 
     def __init__(self, a: Fraction, scale: int, context: str):
         self.a, self.scale, self.context = a, scale, context
         self.half = self.exact(scale, 2)
         self.corner = self.numerator(HALF - a)  # where the corner squares begin
+        self._atlases: dict[bool, list[ScaledRegion]] = {}
 
     def exact(self, num: int, den: int) -> int:
         quotient, remainder = divmod(num, den)
@@ -322,25 +293,22 @@ class Lattice:
         factor = self.scale if factor is None else factor
         return self.exact(value.numerator * factor, value.denominator)
 
-    def scaled_atlas(self, inverse: bool = False) -> list[tuple[tuple, tuple, tuple]]:
-        """``shuffle_atlas(a, inverse)`` on the lattice: per region the triangle
-        times the scale, the matrix (row-major) times 2 and the offset times
-        2 * scale, so that a point X moves to (matrix X + offset) / 2."""
-        return [(tuple((self.numerator(x), self.numerator(y)) for x, y in region.domain),
+    def scaled_atlas(self, inverse: bool = False) -> list[ScaledRegion]:
+        """``shuffle_atlas(a, inverse)`` on the lattice, built once per lattice:
+        per region the triangle times the scale, the matrix (row-major) times 2
+        and the offset times 2 * scale, so that ``move`` is one halving."""
+        if inverse not in self._atlases:
+            self._atlases[inverse] = [
+                (tuple((self.numerator(x), self.numerator(y)) for x, y in region.domain),
                  tuple(self.numerator(m, 2) for row in region.matrix for m in row),
                  tuple(self.numerator(o, 2 * self.scale) for o in region.offset))
                 for region in shuffle_atlas(self.a, inverse)]
+        return self._atlases[inverse]
 
+    def point(self, x: int, y: int) -> OrbPoint:
+        return OrbPoint(Fraction(x, self.scale), Fraction(y, self.scale))
 
-class LatticeMap(Lattice):
-    """``pillow_map`` on the lattice (1/scale)Z^2, which it maps into itself
-    when 4 * den(a) divides the scale."""
-
-    def __init__(self, a: Fraction, scale: int):
-        super().__init__(a, scale, f"the forward map at a = {a}")
-        self.regions = self.scaled_atlas()
-
-    def canonical(self, x: int, y: int) -> tuple[int, int]:
+    def canonical(self, x: int, y: int) -> LatticePoint:
         """``orb_point`` on numerators."""
         scale, half = self.scale, self.half
         x %= scale
@@ -354,36 +322,81 @@ class LatticeMap(Lattice):
         return x, y
 
     def near(self, x: int, y: int) -> bool:
-        """``near_shuffle`` on numerators."""
-        return bool(self.regions) and x >= self.corner and abs(y) >= self.corner
+        """Whether the canonical point lies in a closed corner square, outside
+        which the shuffle is the identity; at a = 0 the squares shrink to the
+        cone point (1/2, 1/2), which the empty atlas leaves in place."""
+        return x >= self.corner and abs(y) >= self.corner
 
-    def __call__(self, x: int, y: int) -> tuple[int, int]:
-        """The canonical numerators of f_a(x / scale, y / scale)."""
-        x, y = self.canonical(2 * x, 2 * y)
+    def move(self, region: ScaledRegion, x: int, y: int) -> LatticePoint:
+        """The point under the affine piece of a scaled region: (matrix X + offset) / 2."""
+        _, (m00, m01, m10, m11), (ox, oy) = region
+        return self.exact(m00 * x + m01 * y + ox, 2), self.exact(m10 * x + m11 * y + oy, 2)
+
+    def shuffle(self, x: int, y: int, inverse: bool = False) -> LatticePoint:
+        """The corner shuffle (or its inverse) of a canonical point: moved by the
+        first region whose closed triangle holds it, then canonicalized."""
         if self.near(x, y):
-            for tri, (m00, m01, m10, m11), (ox, oy) in self.regions:
-                if point_in_triangle((x, y), tri):
-                    return self.canonical(self.exact(m00 * x + m01 * y + ox, 2),
-                                          self.exact(m10 * x + m11 * y + oy, 2))
+            for region in self.scaled_atlas(inverse):
+                if point_in_triangle((x, y), region[0]):
+                    return self.canonical(*self.move(region, x, y))
         return x, y
+
+    def halvings(self, points: Sequence[LatticePoint]) -> list[list[LatticePoint]]:
+        """The four inverse branches of doubling, (X + m S) / 2 for m, n in {0, 1}."""
+        halved = [(self.exact(x, 2), self.exact(y, 2)) for x, y in points]
+        return [[(x + m, y + n) for x, y in halved] for m in (0, self.half) for n in (0, self.half)]
+
+    def fiber(self, x: int, y: int) -> Counter:
+        """The canonical points mapping onto (x, y), with local degrees: the
+        shuffle is a homeomorphism, so they are the halvings of the point moved
+        back through it, and the branch points are where halvings coincide."""
+        return Counter(self.canonical(*q) for (q,) in self.halvings([self.shuffle(x, y, True)]))
+
+
+class LatticeMap(Lattice):
+    """``pillow_map`` on the lattice (1/scale)Z^2, which it maps into itself
+    when 4 * den(a) divides the scale."""
+
+    def __init__(self, a: Fraction, scale: int):
+        super().__init__(a, scale, f"the forward map at a = {a}")
+        self.scaled_atlas()  # a scale the atlas is not on fails here
+
+    def __call__(self, x: int, y: int) -> LatticePoint:
+        """The canonical numerators of f_a(x / scale, y / scale)."""
+        return self.shuffle(*self.canonical(2 * x, 2 * y))
 
 
 _lattice_map = functools.lru_cache(maxsize=256)(LatticeMap)
 
 
-def _pillow_map(a: Fraction, p: OrbPoint) -> OrbPoint:
-    """``pillow_map`` for an ``a`` already validated, for loops over points:
-    on the lattice over 4 * lcm of the denominators, its map cached."""
+def _on_lattice(a: Fraction, p: OrbPoint) -> tuple[LatticeMap, int, int]:
+    """The cached lattice over 8 L, L = lcm of the denominators of p and a,
+    and p's numerators on it.  The forward map needs 4 L.  The atlas
+    matrices have half-integer entries and their offsets are 1/2 - a times
+    such entries, so p shuffled back lies on (1/(4 L))Z^2; halving it takes
+    one factor 2 more."""
     x, y = p.x, p.y
-    scale = 4 * math.lcm(x.denominator, y.denominator, a.denominator)
-    qx, qy = _lattice_map(a, scale)(x.numerator * (scale // x.denominator),
-                                    y.numerator * (scale // y.denominator))
-    return OrbPoint(Fraction(qx, scale), Fraction(qy, scale))
+    scale = 8 * math.lcm(x.denominator, y.denominator, a.denominator)
+    return (_lattice_map(a, scale), x.numerator * (scale // x.denominator),
+            y.numerator * (scale // y.denominator))
+
+
+def _pillow_map(a: Fraction, p: OrbPoint) -> OrbPoint:
+    """``pillow_map`` for an ``a`` already validated, for loops over points."""
+    fmap, x, y = _on_lattice(a, p)
+    return fmap.point(*fmap(x, y))
 
 
 def pillow_map(a: RatLike, p: OrbPoint) -> OrbPoint:
     """One member of the family: the corner shuffle after doubling."""
     return _pillow_map(check_parameter(a), p)
+
+
+def perturbation(a: RatLike, p: OrbPoint, inverse: bool = False) -> OrbPoint:
+    """The symmetric homeomorphism supported on the corner square and its
+    reflection; the identity elsewhere."""
+    lattice, x, y = _on_lattice(check_parameter(a), p)
+    return lattice.point(*lattice.shuffle(x, y, inverse))
 
 
 # ---------------------------------------------------------------------------
@@ -471,22 +484,12 @@ def postcritical_set(a: RatLike, limit: int = 4096) -> list[OrbPoint]:
     return sorted(formula)
 
 
-def halvings(points: Sequence[Vec]) -> list[tuple[Vec, ...]]:
-    """The point set under each of the four inverse branches of doubling,
-    p -> (p + (m, n)) / 2 for m, n in {0, 1}."""
-    return [tuple(((x + m) / 2, (y + n) / 2) for x, y in points)
-            for m in (0, 1) for n in (0, 1)]
-
-
 def preimages(a: RatLike, p: OrbPoint) -> list[tuple[OrbPoint, int]]:
-    """All solutions q of f(q) = p with local degrees (degrees sum to 4).
-
-    The shuffle is a homeomorphism, so fibers come from halving the shuffled
-    target over the four half-integer translates; coincidences among the
-    four candidates are exactly the branch points and carry the multiplicity.
-    """
-    v = perturbation(a, p, inverse=True)
-    return sorted(Counter(orb_point(*q) for (q,) in halvings(((v.x, v.y),))).items())
+    """All solutions q of f(q) = p with local degrees (degrees sum to 4), as
+    ``Lattice.fiber`` finds them: the four halvings of the shuffled-back
+    target, whose coincidences are exactly the branch points."""
+    lattice, x, y = _on_lattice(check_parameter(a), p)
+    return [(lattice.point(*q), degree) for q, degree in sorted(lattice.fiber(x, y).items())]
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import (HALF, Lattice, RatLike, _pillow_map, check_parameter, orb_point,
-                   point_in_triangle)
+from .core import (HALF, Lattice, LatticePoint, RatLike, _pillow_map, check_parameter,
+                   orb_point, point_in_triangle)
 from .core import LatticeError  # noqa: F401  (re-exported: the pullback raises it)
 
 Point = tuple[Fraction, Fraction]
 Segment = tuple[Point, Point]
-LatticePoint = tuple[int, int]  # numerators over the tiling's shared denominator
 
 _FOLD_LINE = (0, 1, 0)  # y = 0, where branches fold
 
@@ -52,9 +51,9 @@ def _centroid(verts: Sequence) -> tuple[Fraction, Fraction]:
 
 
 class _Pullback(Lattice):
-    """The tile pullback on the lattice (1/scale)Z^2, through the inverse atlas
-    scaled once (``Lattice.scaled_atlas``) so that a move is one halving; the
-    triangles are doubled again, for tests at doubled midpoints."""
+    """The tile pullback on the lattice (1/scale)Z^2: pieces move by
+    ``Lattice.move`` through the inverse atlas, whose triangles are doubled
+    once here, for tests at doubled midpoints, and halve by ``Lattice.halvings``."""
 
     def __init__(self, a: Fraction, scale: int, depth: int):
         super().__init__(a, scale, f"the pullback at a = {a}, depth {depth}")
@@ -97,10 +96,9 @@ class _Pullback(Lattice):
         pieces = []
         for piece in self.split(p, q, self.lines):
             (x1, y1), (x2, y2) = piece
-            for tri, (m00, m01, m10, m11), (ox, oy) in self.regions:
-                if point_in_triangle((x1 + x2, y1 + y2), tri):
-                    piece = tuple((self.exact(m00 * x + m01 * y + ox, 2),
-                                   self.exact(m10 * x + m11 * y + oy, 2)) for x, y in piece)
+            for region in self.regions:
+                if point_in_triangle((x1 + x2, y1 + y2), region[0]):
+                    piece = tuple(self.move(region, x, y) for x, y in piece)
                     break
             pieces.append(piece)
         return pieces
@@ -114,11 +112,6 @@ class _Pullback(Lattice):
         if boundary and boundary[0] == boundary[-1]:
             boundary.pop()
         return [_canonical_placement(halved, self.scale) for halved in self.halvings(boundary)]
-
-    def halvings(self, points: Sequence[LatticePoint]) -> list[list[LatticePoint]]:
-        """The four inverse branches of doubling, (X + m S) / 2 for m, n in {0, 1}."""
-        halved = [(self.exact(x, 2), self.exact(y, 2)) for x, y in points]
-        return [[(x + m, y + n) for x, y in halved] for m in (0, self.half) for n in (0, self.half)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ import numpy as np
 from ..gdms import (Cylinder, GDMSPoint, IntervalSystem, apply_map, base_cylinder,
                     cylinder_from_word, distance, edge_path, pull_back_cover)
 from ..menger import MengerParams, expanding_map
-from ..pillowcase.core import HALF, LatticeMap, OrbPoint, _pillow_map, check_parameter, \
-    orb_distance, orb_distances, orb_point, preimages
+from ..pillowcase.core import LatticeMap, OrbPoint, _pillow_map, check_parameter, orb_distance, \
+    orb_distances, orb_point
 from ..skew import SkewPoint, skew_distance, skew_map
 from .core import Adapter
 
@@ -224,7 +224,9 @@ class _PillowGrid:
     """Dyadic cells over the fundamental rectangle with edge identifications.
 
     Cell centers are dyadic and lie strictly inside the rectangle, so the
-    float table ``xy`` holds them exactly and already canonical."""
+    float table ``xy`` holds them exactly and already canonical.  The centers,
+    their images and their fibers are numerators on one lattice over
+    8 lcm(2 ny, den(a)) (see ``core._on_lattice``)."""
 
     def __init__(self, a, resolution: int):
         self.a = check_parameter(a)
@@ -233,30 +235,31 @@ class _PillowGrid:
         self.ny = 2 ** resolution
         self.nx = self.ny // 2
         self.h = Fraction(1, self.ny)
+        self.lattice = LatticeMap(self.a, 8 * math.lcm(2 * self.ny, self.a.denominator))
         self._imap: Optional[np.ndarray] = None
         i, j = np.meshgrid(np.arange(self.nx), np.arange(self.ny), indexing="ij")
         self.xy = np.stack(((2 * i + 1) / (2 * self.ny), (2 * j + 1) / (2 * self.ny) - 0.5),
                            axis=-1)
 
     def center(self, cell: Cell) -> OrbPoint:
-        i, j = cell
-        return OrbPoint(Fraction(2 * i + 1, 2 * self.ny), Fraction(2 * j + 1, 2 * self.ny) - HALF)
+        return self.lattice.point(*self.numerators(cell))
 
     def coords(self, cells: Sequence[Cell]) -> np.ndarray:
         """Float centers of the cells, shape (len(cells), 2)."""
         idx = np.array(cells, dtype=np.int64).reshape(-1, 2)
         return self.xy[idx[:, 0], idx[:, 1]]
 
-    def cell_of(self, p: OrbPoint) -> Cell:
-        x, y = p.x, p.y
-        return self._cell(x.numerator, x.denominator,
-                          2 * y.numerator + y.denominator, 2 * y.denominator)
+    def _cell(self, x: int, y: int) -> Cell:
+        """The cell holding the canonical lattice point (x, y), by integer
+        floor division."""
+        scale = self.lattice.scale
+        return (min(x * self.ny // scale, self.nx - 1),
+                min((y + self.lattice.half) * self.ny // scale, self.ny - 1))
 
-    def _cell(self, x_num: int, x_den: int, y_num: int, y_den: int) -> Cell:
-        """The cell holding (x, y - 1/2) for x = x_num / x_den >= 0 and
-        y = y_num / y_den > 0, by integer floor division."""
-        return (min(x_num * self.ny // x_den, self.nx - 1),
-                min(y_num * self.ny // y_den, self.ny - 1))
+    def numerators(self, cell: Cell) -> tuple[int, int]:
+        """The cell's center on the lattice."""
+        unit = self.lattice.scale // (2 * self.ny)
+        return (2 * cell[0] + 1) * unit, (2 * cell[1] + 1) * unit - self.lattice.half
 
     def neighbors(self, cell: Cell) -> list[Cell]:
         i, j = cell
@@ -269,18 +272,10 @@ class _PillowGrid:
 
     @property
     def image_map(self) -> np.ndarray:
-        """Flat index of the cell holding the image of each cell center,
-        mapped on the lattice over 4 * lcm(2 ny, den(a))."""
+        """Flat index of the cell holding the image of each cell center."""
         if self._imap is None:
-            scale = 4 * math.lcm(2 * self.ny, self.a.denominator)
-            fmap, unit, half = LatticeMap(self.a, scale), scale // (2 * self.ny), scale // 2
-            flat = []
-            for i in range(self.nx):
-                x = (2 * i + 1) * unit
-                for j in range(self.ny):
-                    qx, qy = fmap(x, (2 * j + 1) * unit - half)
-                    qi, qj = self._cell(qx, scale, qy + half, scale)
-                    flat.append(qi * self.ny + qj)
+            flat = [self.flat(self._cell(*self.lattice(*self.numerators((i, j)))))
+                    for i in range(self.nx) for j in range(self.ny)]
             self._imap = np.array(flat, dtype=np.int64).reshape(self.nx, self.ny)
         return self._imap
 
@@ -348,15 +343,13 @@ def pillowcase_adapter(a, resolution: int, cover: str = "faces",
         candidates = [c for c in itertools.islice(payload, 64)
                       if all(nb in payload for nb in grid.neighbors(c))]
         candidates = candidates[:8] or list(itertools.islice(payload, 8))
+        owner = {cell: idx for idx, comp in enumerate(comps) for cell in comp}
         for target in candidates:
-            fiber = preimages(grid.a, grid.center(target))
             counts = [0] * len(comps)
-            for point, degree in fiber:
-                cell = grid.cell_of(point)
-                for idx, comp in enumerate(comps):
-                    if cell in comp:
-                        counts[idx] += degree
-                        break
+            for point, degree in grid.lattice.fiber(*grid.numerators(target)).items():
+                idx = owner.get(grid._cell(*point))
+                if idx is not None:
+                    counts[idx] += degree
             if all(c > 0 for c in counts) and sum(counts) == 4:
                 return counts
         return [max(1, c) for c in counts]

@@ -1,0 +1,91 @@
+"""Fraction-arithmetic oracles for the pillowcase lattice code.
+
+The package walks the corner-shuffle atlas once, on integer numerators over
+a shared denominator (``cxcdyn.pillowcase.core.Lattice``).  These are the
+walks on ``Fraction`` coordinates that it replaced, kept as independent
+oracles: the region lookup, the pointwise shuffle, the inverse branches of
+doubling, the forward map, the fibers, the raster cell lookup and the
+raster's fiber degrees.
+"""
+
+import itertools
+from collections import Counter
+from fractions import Fraction
+
+from cxcdyn.pillowcase.core import (HALF, AffineRegion, check_parameter, doubling, mat,
+                                    mat_vec, orb_point, point_in_triangle, shuffle_atlas)
+
+IDENTITY_REGION = AffineRegion((), mat(1, 0, 0, 1), (Fraction(0), Fraction(0)))
+
+
+def apply(region, p):
+    v = mat_vec(region.matrix, p)
+    return (v[0] + region.offset[0], v[1] + region.offset[1])
+
+
+def locate(regions, p):
+    """First region whose closed domain holds p; the identity off them all."""
+    for region in regions:
+        if point_in_triangle(p, region.domain):
+            return region
+    return IDENTITY_REGION
+
+
+def near_shuffle(a, v):
+    """Whether v in [0, 1/2] x [-1/2, 1/2] lies in one of the corner squares,
+    outside which the shuffle is the identity."""
+    return a != 0 and v[0] >= HALF - a and abs(v[1]) >= HALF - a
+
+
+def shuffle(a, p, inverse=False):
+    """The corner shuffle (or its inverse) of an ``OrbPoint``."""
+    v = (p.x, p.y)
+    if not near_shuffle(a, v):
+        return p
+    return orb_point(*apply(locate(shuffle_atlas(a, inverse), v), v))
+
+
+def halvings(points):
+    """The point set under each of the four inverse branches of doubling,
+    p -> (p + (m, n)) / 2 for m, n in {0, 1}."""
+    return [tuple(((x + m) / 2, (y + n) / 2) for x, y in points)
+            for m in (0, 1) for n in (0, 1)]
+
+
+def fraction_pillow_map(a, p):
+    """The corner shuffle after doubling."""
+    return shuffle(a, doubling(p))
+
+
+def fraction_preimages(a, p):
+    """The fiber of f_a over p with local degrees: the four halvings of the
+    shuffled-back target, counted with coincidences."""
+    v = shuffle(check_parameter(a), p, inverse=True)
+    return sorted(Counter(orb_point(*q) for (q,) in halvings(((v.x, v.y),))).items())
+
+
+def fraction_cell_of(grid, p):
+    """The raster cell holding a canonical point."""
+    return (min(int(p.x / grid.h), grid.nx - 1),
+            min(int((p.y + HALF) / grid.h), grid.ny - 1))
+
+
+def fraction_fiber_degrees(grid, payload, comps):
+    """The pillowcase adapter's degrees over the components of a payload's
+    preimage, and whether they were certified (else the fallback made them):
+    the fiber of the first generic candidate cell center whose points fall in
+    every component, four in all."""
+    candidates = [c for c in itertools.islice(payload, 64)
+                  if all(nb in payload for nb in grid.neighbors(c))]
+    candidates = candidates[:8] or list(itertools.islice(payload, 8))
+    for target in candidates:
+        counts = [0] * len(comps)
+        for point, degree in fraction_preimages(grid.a, grid.center(target)):
+            cell = fraction_cell_of(grid, point)
+            for idx, comp in enumerate(comps):
+                if cell in comp:
+                    counts[idx] += degree
+                    break
+        if all(c > 0 for c in counts) and sum(counts) == 4:
+            return counts, True
+    return [max(1, c) for c in counts], False

@@ -2,13 +2,17 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cxcdyn
 from cxcdyn.cli import main
 
 TWO_LOOPS = "vertices 1\nedge 1 1 2\nedge 1 1 2\n"
@@ -56,6 +60,7 @@ def test_dim_invalid_graph_exits_one(capsys, tmp_path):
     ["skew", "boxdim", "--alpha", "1/2"],
     ["skew", "scaling", "--alpha", "1/2"],
     ["verify", "gdms", "--alpha", "1/2"],
+    ["dim"],
 ])
 def test_edgeless_graph_exits_one(capsys, tmp_path, argv):
     path = tmp_path / "edgeless.g"
@@ -63,6 +68,34 @@ def test_edgeless_graph_exits_one(capsys, tmp_path, argv):
     code, out, err = run(capsys, argv + ["--graph", str(path)])
     assert code == 1 and out == ""
     assert "graph has no edges; the repellor is empty" in err
+
+
+def test_graph_reports_an_edgeless_graph_as_not_admissible(capsys, tmp_path):
+    path = tmp_path / "edgeless.g"
+    path.write_text("vertices 1\n")
+    code, out, _ = run(capsys, ["graph", "--graph", str(path)])
+    payload = json.loads(out)
+    assert code == 0 and payload["edges"] == 0
+    assert not payload["irreducible"] and not payload["ok"]
+
+
+@pytest.mark.parametrize("tol, expected", [("0", 1), ("1e-20", 0), ("-1", 1), ("nan", 1),
+                                           ("inf", 1), ("1e-300", 0), ("1e-10", 0)])
+def test_dim_tol_ends_within_five_seconds(tmp_path, tol, expected):
+    """A tol that is not finite and positive exits 1 without an exponent; one
+    below the float spacing stops once the bracket ends are adjacent floats.
+    Each run is a subprocess, so a bisection that never ends fails the test."""
+    path = tmp_path / "two_three.g"
+    path.write_text("vertices 1\nedge 1 1 2\nedge 1 1 3\n")
+    src = str(Path(cxcdyn.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-m", "cxcdyn.cli", "dim", "--graph", str(path),
+                             f"--tol={tol}"], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=5)
+    assert result.returncode == expected
+    if expected:
+        assert result.stdout == "" and "tol must be finite and positive" in result.stderr
+    else:
+        assert abs(json.loads(result.stdout)["exponent"] - 0.78788491104) < 1e-9
 
 
 def test_usage_error_exits_two(capsys):

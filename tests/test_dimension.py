@@ -143,6 +143,15 @@ def test_solve_rejects_invalid_graphs():
         solve_exponent(single, "conformal")
     with pytest.raises(ValueError, match="irreducible"):
         solve_exponent(make_graph(2, [(1, 2, 2), (1, 2, 2)]), "conformal")
+    with pytest.raises(ValueError, match="graph has no edges; the repellor is empty"):
+        solve_exponent(make_graph(1, []), "conformal")
+
+
+def test_bisection_stops_at_adjacent_floats():
+    g = make_graph(1, [(1, 1, 2), (1, 1, 3)])
+    lo, hi = solve_exponent(g, "conformal", tol=1e-300).bracket
+    assert lo < hi == math.nextafter(lo, math.inf)
+    assert abs(lo - solve_exponent(g, "conformal").exponent) < 1e-10
 
 
 def test_hausdorff_needs_contracting_alpha(two_loops):

@@ -45,9 +45,10 @@ def closed_walks_pass(g: WeightedDigraph, max_len: int) -> bool:
 
 
 def strongly_connected(g: WeightedDigraph) -> bool:
-    """Transitive closure by Floyd-Warshall: every ordered pair joined."""
+    """Transitive closure by Floyd-Warshall: every ordered pair, a vertex and
+    itself included, joined by a path of positive length."""
     vertices = range(1, g.vertex_count + 1)
-    reach = {(i, j): i == j for i in vertices for j in vertices}
+    reach = {(i, j): False for i in vertices for j in vertices}
     for e in g.edges:
         reach[e.src, e.dst] = True
     for k in vertices:

@@ -13,15 +13,9 @@ from cxcdyn.pillowcase import (CONE_POINTS, CRITICAL_POINTS, HSQUEEZE, SHEAR,
                                singular_values, tent, tent_orbit)
 from cxcdyn.pillowcase import (LatticeError, LatticeMap, core, shuffle_atlas,
                                skeleton_forward_invariance, tiling)
-from cxcdyn.pillowcase.core import halvings
+from oracles import fraction_pillow_map, fraction_preimages, halvings, shuffle
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=64)
-
-
-def fraction_pillow_map(a, p):
-    """The map on Fractions that the lattice map replaced: the corner shuffle
-    after doubling."""
-    return core._shuffle(a, doubling(p))
 
 
 def test_orb_point_examples():
@@ -249,6 +243,12 @@ def test_halvings_are_the_inverse_branches_of_doubling(x, y):
     for (p, q) in images:
         assert doubling(orb_point(*p)) == orb_point(x, y)
         assert doubling(orb_point(*q)) == orb_point(y, x)
+    # the lattice halvings are the same points
+    scale = 2 * math.lcm(x.denominator, y.denominator)
+    lattice = core.Lattice(F(0), scale, "halving")
+    numerators = [(x.numerator * scale // x.denominator, y.numerator * scale // y.denominator)]
+    assert ([[(F(u, scale), F(v, scale)) for u, v in branch]
+             for branch in lattice.halvings(numerators)] == [[p] for p, _ in images])
 
 
 def test_preimages_of_moved_cone_point(eighth):
@@ -396,6 +396,46 @@ def test_lattice_map_on_the_cone_points_and_at_zero():
             assert pillow_map(a, p) == fraction_pillow_map(a, p)
     for p in CRITICAL_POINTS:
         assert pillow_map(0, p) == doubling(p)
+
+
+@st.composite
+def fiber_points(draw):
+    """A parameter, with odd and prime denominators among them, and a point:
+    random p/q, in a corner square, on an edge of the forward or inverse
+    atlas, a critical value, or the moved cone point (7/16, 1/2)."""
+    a = draw(st.one_of(family_parameters, st.sampled_from([F(1, 9), F(2, 23), F(5, 97)])))
+    kind = draw(st.sampled_from(["random", "corner square", "atlas edge", "critical value",
+                                 "moved cone point"]))
+    if kind == "random":
+        return a, orb_point(draw(rationals), draw(rationals))
+    if kind == "corner square":
+        sign = draw(st.sampled_from([1, -1]))
+        return a, orb_point(F(1, 2) - a + draw(unit) * a, sign * (F(1, 2) - a + draw(unit) * a))
+    if kind == "atlas edge" and a > 0:
+        domain = draw(st.sampled_from(shuffle_atlas(a, draw(st.booleans())))).domain
+        k, t = draw(st.integers(0, 2)), draw(unit)
+        (x1, y1), (x2, y2) = domain[k], domain[(k + 1) % 3]
+        return a, orb_point(x1 + t * (x2 - x1), y1 + t * (y2 - y1))
+    if kind == "critical value":
+        return a, pillow_map(a, draw(st.sampled_from(CRITICAL_POINTS)))
+    return a, orb_point(F(7, 16), F(1, 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(fiber_points())
+def test_lattice_fibers_and_shuffle_match_the_fraction_oracle(case):
+    a, p = case
+    assert preimages(a, p) == fraction_preimages(a, p)
+    for inverse in (False, True):
+        assert perturbation(a, p, inverse) == shuffle(a, p, inverse)
+
+
+def test_fibers_over_critical_values_hold_the_critical_points_twice():
+    for a in (F(0), F(1, 64), F(3, 40), F(1, 9), F(5, 97), F(1, 8)):
+        for c in CRITICAL_POINTS:
+            fiber = preimages(a, pillow_map(a, c))
+            assert (c, 2) in fiber and fiber == fraction_preimages(a, pillow_map(a, c))
+            assert sum(d for _, d in fiber) == 4
 
 
 def test_forward_map_inexact_division_raises_naming_the_parameter():

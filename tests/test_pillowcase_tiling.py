@@ -7,12 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import cxcdyn.pillowcase.tiling as tiling
 from cxcdyn.pillowcase import (Tile, Tiling, base_faces, base_skeleton, check_parameter,
-                               orb_point, perturbation, shuffle_atlas,
-                               skeleton_forward_invariance, subdivide)
-from cxcdyn.pillowcase.core import halvings, locate
+                               orb_point, shuffle_atlas, skeleton_forward_invariance,
+                               subdivide)
 from cxcdyn.pillowcase.tiling import (LatticeError, _canonical_placement, _normalize_segment,
                                       _Pullback)
 from cxcdyn.render import tiling_svg
+from oracles import apply, halvings, locate, shuffle
 
 HALF = F(1, 2)
 
@@ -181,7 +181,7 @@ def shuffle_back(a, p, q, regions, lines):
     pieces = []
     for p1, p2 in split_segment(p, q, lines):
         region = locate(regions, ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2))
-        pieces.append((region.apply(p1), region.apply(p2)))
+        pieces.append((apply(region, p1), apply(region, p2)))
     return pieces
 
 
@@ -387,7 +387,7 @@ def test_shuffle_back_is_the_pointwise_inverse_on_every_piece(case):
     assert len(pieces) == len(cuts)
     for (m1, m2), (p1, p2) in zip(pieces, cuts):
         for m, p in ((m1, p1), (m2, p2)):
-            assert orb_point(*m) == perturbation(a, orb_point(*p), inverse=True)
+            assert orb_point(*m) == shuffle(a, orb_point(*p), inverse=True)
     assert all(m2 == n1 for (_, m2), (n1, _) in zip(pieces, pieces[1:]))
 
 

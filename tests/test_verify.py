@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cxcdyn.gdms import build_interval_system
 from cxcdyn.graphs import make_graph
 from cxcdyn.menger import MengerParams, sponge_params
-from cxcdyn.pillowcase.core import _shuffle, doubling, orb_distance, orb_distances, orb_point
+from cxcdyn.pillowcase.core import orb_distance, orb_distances, orb_point
 from cxcdyn.verify import (Adapter, build_covers, degree_report, dendrite_adapter,
                            distortion_report, eventually_onto_check, gdms_adapter,
                            menger_adapter, pillowcase_adapter, roundness,
@@ -19,6 +19,7 @@ from cxcdyn.pillowcase.tiling import subdivide
 from cxcdyn.verify import adapters
 from cxcdyn.verify.adapters import _PillowGrid, _flood_components
 from cxcdyn.verify.core import DistortionReport, _evaluate_k
+from oracles import fraction_cell_of, fraction_fiber_degrees, fraction_pillow_map
 
 
 # --- refine / mesh ----------------------------------------------------------
@@ -634,18 +635,6 @@ def test_flood_components_partition_the_input():
 
 # --- the raster image map on the integer lattice -------------------------------
 
-def fraction_pillow_map(a, p):
-    """The map on Fractions that the lattice map replaced: the corner shuffle
-    after doubling."""
-    return _shuffle(a, doubling(p))
-
-
-def fraction_cell_of(grid, p):
-    """The cell lookup on Fractions that integer floor division replaced."""
-    return (min(int(p.x / grid.h), grid.nx - 1),
-            min(int((p.y + Fraction(1, 2)) / grid.h), grid.ny - 1))
-
-
 @pytest.mark.parametrize("a", ["0", "1/64", "3/40", "6/67", "1/8"])
 def test_image_map_matches_the_fraction_map(a):
     for resolution in range(3, 8):
@@ -656,10 +645,38 @@ def test_image_map_matches_the_fraction_map(a):
         assert grid.image_map.tolist() == expected
 
 
+@pytest.mark.parametrize("a", ["0", "1/64", "3/40", "1/8"])
+def test_fiber_degrees_match_the_fraction_fibers(a):
+    """Every pillowcase degree over a parent, faces and disks up to resolution
+    6, is the one the Fraction fibers give, fallback degrees included."""
+    fallbacks = 0
+    for cover, resolution, depth in (("faces", 6, 3), ("disks", 4, 2), ("disks", 6, 3)):
+        grid = _PillowGrid(Fraction(a), resolution)
+        covers = build_covers(pillowcase_adapter(Fraction(a), resolution, cover), depth)
+        for level in covers.levels[1:]:
+            children: dict[int, list] = {}
+            for element in level:
+                children.setdefault(id(element.parent), []).append(element)
+            for siblings in children.values():
+                degrees, certified = fraction_fiber_degrees(
+                    grid, siblings[0].parent.payload, [e.payload for e in siblings])
+                assert [e.degree_over_parent for e in siblings] == degrees
+                fallbacks += not certified
+    if a == "1/8":
+        assert fallbacks > 0  # the uncertified refinements are compared too
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.fractions(min_value=-2, max_value=2, max_denominator=300),
-       st.fractions(min_value=-2, max_value=2, max_denominator=300), st.integers(1, 7))
-def test_cell_of_matches_the_fraction_lookup(x, y, resolution):
+@given(st.data(), st.integers(1, 7))
+def test_cell_of_matches_the_fraction_lookup(data, resolution):
+    """The integer cell lookup on the grid's lattice, at arbitrary lattice
+    points and on the cell walls."""
     grid = _PillowGrid(Fraction(1, 8), resolution)
-    for p in (orb_point(x, y), orb_point(Fraction(1, 2), y), orb_point(x, Fraction(1, 2))):
-        assert grid.cell_of(p) == fraction_cell_of(grid, p)
+    scale, half, wall = grid.lattice.scale, grid.lattice.half, grid.lattice.scale // grid.ny
+    x = data.draw(st.one_of(st.integers(0, half), st.integers(0, grid.nx).map(wall.__mul__)))
+    y = data.draw(st.one_of(st.integers(-half, half),
+                            st.integers(-grid.nx, grid.nx).map(wall.__mul__)))
+    for qx, qy in (grid.lattice.canonical(x, y), (half, abs(y)), (x, half)):
+        p = orb_point(Fraction(qx, scale), Fraction(qy, scale))
+        assert (qx, qy) == (p.x * scale, p.y * scale)
+        assert grid._cell(qx, qy) == fraction_cell_of(grid, p)
