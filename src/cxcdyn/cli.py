@@ -172,7 +172,9 @@ def _cmd_ifs(args) -> int:
         report = dendrite.overlap_test(args.lam, depth=args.depth, tol=args.tol)
         _emit({"depth": report.depth, "tol": report.tol, "pairs": report.pair_count,
                "overlap_diameter": report.overlap_diameter,
-               "candidate_o": [report.candidate_o.real, report.candidate_o.imag],
+               # no close pair leaves no candidate: null, not NaN, which is not JSON
+               "candidate_o": (None if report.pair_count == 0
+                               else [report.candidate_o.real, report.candidate_o.imag]),
                "verdict": report.verdict})
         return 0
     if args.action == "kneading":

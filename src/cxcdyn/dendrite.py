@@ -13,6 +13,7 @@ angle doubling on the circle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -150,8 +151,8 @@ def overlap_test(lam: complex, depth: int = 14, tol: float | None = None) -> Ove
         raise ValueError("depth must be >= 6 so a shallower comparison run exists")
     if tol is None:
         tol = default_tolerance(lam, depth)
-    if not tol >= 0:
-        raise ValueError("tol must be a nonnegative number")
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be a finite nonnegative number")
     approx_error = abs(lam) ** depth / (1.0 - abs(lam))
 
     deep = _close_pair_midpoints(attractor_points(lam, depth), tol)

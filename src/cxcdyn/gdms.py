@@ -7,13 +7,18 @@ w_j * d(e)^(-1/alpha), and the expanding map sends that subinterval onto I_j
 affinely with ratio d(e)^(1/alpha).  Subintervals are laid out left to right
 in edge order with equal gaps, which is one of many embeddings satisfying
 the required disjointness; the dynamics does not depend on the choice.
+
+Cover levels are pulled back in bulk: each level is a list of plain rows,
+pulled back through one per-call table of inverse-branch data, and only the
+level a caller gets back is turned into ``Cylinder`` objects.  ``pull_back``
+runs one row through the same kernel, so the formula is written once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -186,39 +191,84 @@ def edge_path(sys: IntervalSystem, word: Sequence[int]) -> list[Branch]:
     return edges
 
 
+# A cylinder as a plain row (word, component, terminal, left, length): the
+# cover levels are pulled back on rows, and only a returned level becomes
+# Cylinder objects.
+_Row = tuple[tuple[int, ...], int, int, float, float]
+
+
+def _pull_back_table(sys: IntervalSystem, branches: Sequence[Branch]) -> dict[int, list[tuple]]:
+    """Per target vertex, in edge order: the inverse-branch data of each of
+    ``branches`` ending there (edge index, src, left, target base left and
+    right, expansion ratio, orientation)."""
+    table: dict[int, list[tuple]] = {}
+    for b in branches:
+        source = sys.base(b.dst)
+        table.setdefault(b.dst, []).append((b.edge_index, b.src, b.left, source.left,
+                                            source.right, sys.expansion_ratio(b),
+                                            b.orientation))
+    return table
+
+
+def _pull_back_rows(table: dict[int, list[tuple]], rows: Sequence[_Row]) -> list[_Row]:
+    """Every row pulled back through every inverse branch of ``table`` that
+    lands on its component, in row order and then edge order."""
+    out = []
+    for word, component, terminal, left, length in rows:
+        right = left + length
+        for k, src, b_left, source_left, source_right, ratio, orientation in table.get(
+                component, ()):
+            if orientation > 0:
+                pulled = b_left + (left - source_left) / ratio
+            else:
+                pulled = b_left + (source_right - right) / ratio
+            out.append(((k,) + word, src, terminal, pulled, length / ratio))
+    return out
+
+
+def _row(cyl: Cylinder) -> _Row:
+    return (cyl.word, cyl.component, cyl.terminal, cyl.left, cyl.length)
+
+
 def pull_back(sys: IntervalSystem, b: Branch, cyl: Cylinder) -> Cylinder:
-    # inverse branch of the map over edge b applied to a cylinder in base(dst)
-    source = sys.base(b.dst)
-    ratio = sys.expansion_ratio(b)
-    length = cyl.length / ratio
-    if b.orientation > 0:
-        left = b.left + (cyl.left - source.left) / ratio
-    else:
-        left = b.left + (source.right - cyl.right) / ratio
-    return Cylinder(word=(b.edge_index,) + cyl.word, component=b.src,
-                    terminal=cyl.terminal, left=left, length=length)
+    """The inverse branch of the map over edge b applied to a cylinder in base(b.dst)."""
+    if cyl.component != b.dst:
+        raise ValueError(f"cylinder lies in component {cyl.component}, "
+                         f"edge {b.edge_index} ends in {b.dst}")
+    (row,) = _pull_back_rows(_pull_back_table(sys, [b]), [_row(cyl)])
+    return Cylinder(*row)
+
+
+def _cover_levels(sys: IntervalSystem, depth: int) -> Iterator[list[_Row]]:
+    """The cover rows of depths 0, 1, ..., depth, each level pulled back
+    from the one before through one table."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    table = _pull_back_table(sys, sys.branches)
+    rows = [_row(base_cylinder(sys, b.vertex)) for b in sys.bases]
+    yield rows
+    for _ in range(depth):
+        rows = _pull_back_rows(table, rows)
+        yield rows
 
 
 def repellor_cover(sys: IntervalSystem, depth: int) -> list[Cylinder]:
     """All admissible cylinders of the given depth with their intervals.
 
     Depth 0 returns the base intervals; each deeper cylinder nests inside
-    its one-step suffix pulled back through the leading edge.
+    its one-step suffix pulled back through the leading edge.  The levels
+    are pulled back as plain rows; only the returned one becomes Cylinders.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    cover = [base_cylinder(sys, b.vertex) for b in sys.bases]
-    for _ in range(depth):
-        cover = pull_back_cover(sys, cover)
-    return cover
+    for rows in _cover_levels(sys, depth):
+        pass
+    return [Cylinder(*row) for row in rows]
 
 
 def pull_back_cover(sys: IntervalSystem, cover: Sequence[Cylinder]) -> list[Cylinder]:
     """The cover one level deeper: every edge that ends where a cylinder
     starts, prepended to it, in cover order."""
-    return [pull_back(sys, b, cyl)
-            for cyl in cover
-            for b in sys.branches if b.dst == cyl.component]
+    table = _pull_back_table(sys, sys.branches)
+    return [Cylinder(*row) for row in _pull_back_rows(table, [_row(c) for c in cover])]
 
 
 def cylinder_from_word(sys: IntervalSystem, word: Sequence[int]) -> Cylinder:
@@ -293,5 +343,5 @@ def box_dimension(sys: IntervalSystem, snowflaked: bool = False,
 
 def cover_rows(cover: Sequence[Cylinder]) -> list[tuple[str, float, float, float]]:
     """CSV-ready rows (word, left, right, length) for a cover listing."""
-    return [("." .join(str(k) for k in c.word) if c.word else f"base{c.component}",
+    return [(".".join(map(str, c.word)) if c.word else f"base{c.component}",
              c.left, c.right, c.length) for c in cover]

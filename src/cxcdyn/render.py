@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gdms import IntervalSystem, pull_back_cover, repellor_cover
+from .gdms import IntervalSystem, _cover_levels
 from .pillowcase.tiling import Tiling
 
 _FACE_FILLS = ("#dbe7f5", "#f5e3d0")
@@ -25,15 +25,12 @@ def cover_strip_svg(sys: IntervalSystem, depth: int) -> str:
     height = (depth + 1) * row_height
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">']
-    cover = repellor_cover(sys, 0)
-    for m in range(depth + 1):
-        if m:
-            cover = pull_back_cover(sys, cover)
+    for m, rows in enumerate(_cover_levels(sys, depth)):
         y = m * row_height + 4
-        for cyl in cover:
-            x = (cyl.left - span_left) * scale
-            w = max(cyl.length * scale, 0.5)
-            fill = _FACE_FILLS[cyl.component % 2]
+        for _, component, _, left, length in rows:
+            x = (left - span_left) * scale
+            w = max(length * scale, 0.5)
+            fill = _FACE_FILLS[component % 2]
             parts.append(f'  <rect x="{x:.3f}" y="{y}" width="{w:.3f}" '
                          f'height="{row_height - 8}" fill="{fill}" stroke="#333" '
                          f'stroke-width="0.4" />')

@@ -6,10 +6,16 @@ edge e the map sends (x, t) to (g(x), d(e) t mod 1).  In the metric
 with factor d(e): the base part scales by (d(e)^(1/alpha))^alpha = d(e) and
 the circle part by d(e) as long as the circle distance stays below
 1/(2 d(e)), which keeps the shorter arc the shorter arc.
+
+``scaling_deviation`` checks that claim in bulk: its pairs are drawn one by
+one, then mapped and measured as arrays, chunk by chunk, with the scalar
+functions' IEEE operations in their order; only the snowflake powers stay
+scalar, since numpy's vectorised power does not round like libm ``pow``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -109,25 +115,71 @@ def skew_box_dimension(sys: IntervalSystem, depths: Sequence[int] = tuple(range(
     return float(np.polyfit(xs, ys, 1)[0])
 
 
+# Pairs are checked this many at a time, so memory does not grow with ``pairs``.
+_CHUNK = 4096
+
+
 def scaling_deviation(sys: IntervalSystem, pairs: int, seed: int = 0) -> float:
     """Max deviation of skew_distance(f p, f q) from d(e) * skew_distance(p, q).
 
     Samples admissible pairs: both base points in one branch subinterval, and
     circle distance below 1/(2 d(e)).  Should be at floating-point scale.
+
+    The draws are made pair by pair, a branch index and then four doubles
+    (u, v, t, r), so the generator stream is the one a pair-by-pair loop
+    reads.  The rest runs in bulk over chunks of pairs, on per-branch arrays
+    gathered by index, with the IEEE operations of ``skew_map`` and
+    ``skew_distance`` in their order, so the result equals that loop's bit
+    for bit.  The snowflake powers stay scalar Python ``**`` (libm ``pow``),
+    because numpy's vectorised power rounds some of them differently.
     """
+    if pairs < 0:
+        raise ValueError("pairs must be >= 0")
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    integers, random = rng.integers, rng.random
     branches = sys.branches
-    for _ in range(pairs):
-        b = branches[rng.integers(len(branches))]
-        u, v = rng.random(2)
-        x = GDMSPoint(b.src, b.left + u * b.length)
-        y = GDMSPoint(b.src, b.left + v * b.length)
-        t = rng.random()
-        dt = (rng.random() - 0.5) / b.degree  # |dt| < 1/(2 d)
-        s = (t + dt) % 1.0
-        p, q = SkewPoint(x, t), SkewPoint(y, s)
-        lhs = skew_distance(sys, skew_map(sys, p), skew_map(sys, q))
-        rhs = b.degree * skew_distance(sys, p, q)
-        worst = max(worst, abs(lhs - rhs))
+    alpha = sys.alpha
+    # one row per branch: left, length, right, degree, target left, ratio, orientation
+    table = np.array([(b.left, b.length, b.right, b.degree, sys.base(b.dst).left,
+                       sys.expansion_ratio(b), b.orientation) for b in branches]).T
+
+    def snowflake(d: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(pow, d.tolist(), itertools.repeat(alpha)), float, len(d))
+
+    def circle(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        d = np.remainder(np.abs(s - t), 1.0)
+        return np.minimum(d, 1.0 - d)
+
+    worst = 0.0
+    for start in range(0, pairs, _CHUNK):
+        size = min(_CHUNK, pairs - start)
+        index, draws = np.empty(size, np.intp), np.empty((size, 4))
+        for i, row in enumerate(draws):
+            index[i] = integers(len(branches))
+            random(out=row)
+        u, v, t, r = draws.T
+        left, length, right, degree, target, ratio, orientation = table[:, index]
+        x = left + u * length
+        y = left + v * length
+        dt = (r - 0.5) / degree  # |dt| < 1/(2 d)
+        s = np.remainder(t + dt, 1.0)
+        # the checks of SkewPoint and locate_branch, first failing pair first;
+        # t and the image angles lie in [0, 1) by construction, s may round up to 1
+        angle_ok = (0.0 <= s) & (s < 1.0)
+        x_in, y_in = ((left <= z) & (z <= right) for z in (x, y))
+        failed = ~(angle_ok & x_in & y_in)
+        if failed.any():
+            i = int(np.argmax(failed))
+            if not angle_ok[i]:
+                raise ValueError("angle must lie in [0, 1)")
+            z = x[i] if not x_in[i] else y[i]
+            raise ValueError(f"point {float(z)} in component {branches[index[i]].src} "
+                             "is outside every branch domain")
+        fx, fy = (np.where(orientation > 0, target + (z - left) * ratio,
+                           target + (right - z) * ratio) for z in (x, y))
+        ft = np.remainder(degree * t, 1.0)
+        fs = np.remainder(degree * s, 1.0)
+        lhs = snowflake(np.abs(fx - fy)) + circle(ft, fs)
+        rhs = degree * (snowflake(np.abs(x - y)) + circle(t, s))
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst

@@ -1,19 +1,27 @@
-"""Fraction-arithmetic oracles for the pillowcase lattice code.
+"""Slow reference paths that the package's fast paths are tested against.
 
 The package walks the corner-shuffle atlas once, on integer numerators over
-a shared denominator (``cxcdyn.pillowcase.core.Lattice``).  These are the
-walks on ``Fraction`` coordinates that it replaced, kept as independent
+a shared denominator (``cxcdyn.pillowcase.core.Lattice``).  The walks on
+``Fraction`` coordinates that it replaced are kept here as independent
 oracles: the region lookup, the pointwise shuffle, the inverse branches of
 doubling, the forward map, the fibers, the raster cell lookup and the
 raster's fiber degrees.
+
+The interval-system covers are pulled back on plain rows and the skew
+scaling sampler runs on arrays; the cylinder-by-cylinder pull-back and the
+pair-by-pair sampler they replaced are kept here too.
 """
 
 import itertools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
+from cxcdyn.gdms import Cylinder, GDMSPoint, base_cylinder
 from cxcdyn.pillowcase.core import (HALF, AffineRegion, check_parameter, doubling, mat,
                                     mat_vec, orb_point, point_in_triangle, shuffle_atlas)
+from cxcdyn.skew import SkewPoint, skew_distance, skew_map
 
 IDENTITY_REGION = AffineRegion((), mat(1, 0, 0, 1), (Fraction(0), Fraction(0)))
 
@@ -89,3 +97,51 @@ def fraction_fiber_degrees(grid, payload, comps):
         if all(c > 0 for c in counts) and sum(counts) == 4:
             return counts, True
     return [max(1, c) for c in counts], False
+
+
+def pull_back(sys, b, cyl):
+    """The inverse branch of the map over edge b applied to a cylinder in base(b.dst)."""
+    source = sys.base(b.dst)
+    ratio = sys.expansion_ratio(b)
+    length = cyl.length / ratio
+    if b.orientation > 0:
+        left = b.left + (cyl.left - source.left) / ratio
+    else:
+        left = b.left + (source.right - cyl.right) / ratio
+    return Cylinder(word=(b.edge_index,) + cyl.word, component=b.src,
+                    terminal=cyl.terminal, left=left, length=length)
+
+
+def pull_back_cover(sys, cover):
+    """The cover one level deeper, one cylinder and one branch at a time."""
+    return [pull_back(sys, b, cyl)
+            for cyl in cover
+            for b in sys.branches if b.dst == cyl.component]
+
+
+def repellor_cover(sys, depth):
+    cover = [base_cylinder(sys, b.vertex) for b in sys.bases]
+    for _ in range(depth):
+        cover = pull_back_cover(sys, cover)
+    return cover
+
+
+def scaling_deviation(sys, pairs, seed=0):
+    """The skew homothety sampler, pair by pair through the scalar
+    ``skew_map`` and ``skew_distance``."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    branches = sys.branches
+    for _ in range(pairs):
+        b = branches[rng.integers(len(branches))]
+        u, v = rng.random(2)
+        x = GDMSPoint(b.src, b.left + u * b.length)
+        y = GDMSPoint(b.src, b.left + v * b.length)
+        t = rng.random()
+        dt = (rng.random() - 0.5) / b.degree  # |dt| < 1/(2 d)
+        s = (t + dt) % 1.0
+        p, q = SkewPoint(x, t), SkewPoint(y, s)
+        lhs = skew_distance(sys, skew_map(sys, p), skew_map(sys, q))
+        rhs = b.degree * skew_distance(sys, p, q)
+        worst = max(worst, abs(lhs - rhs))
+    return worst

@@ -206,6 +206,43 @@ def test_ifs_overlap_json(capsys):
     assert abs(payload["candidate_o"][0] - 1.0) < 1e-6
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_ifs_overlap_without_close_pairs_prints_null(capsys):
+    code, out, _ = run(capsys, ["ifs", "overlap", "--lambda", "1/2", "--depth", "8",
+                                "--tol=0"])
+    payload = _strict_json(out)
+    assert code == 0 and payload["pairs"] == 0 and payload["candidate_o"] is None
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1"])
+def test_ifs_overlap_rejects_a_tol_that_is_not_finite(capsys, tol):
+    code, out, err = run(capsys, ["ifs", "overlap", "--lambda", "1/2", "--depth", "6",
+                                  f"--tol={tol}"])
+    assert code == 1 and out == ""
+    assert "tol must be a finite nonnegative number" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["skew", "scaling", "--alpha", "1/2", "--pairs=-5"],
+    ["verify", "gdms", "--alpha", "1/2", "--depth", "2", "--skew-pairs=-3"],
+])
+def test_negative_pair_count_exits_one(capsys, graph_file, argv):
+    code, out, err = run(capsys, argv + ["--graph", graph_file])
+    assert code == 1 and out == ""
+    assert "pairs must be >= 0" in err
+
+
+def test_zero_pairs_is_a_clean_zero(capsys, graph_file):
+    code, out, _ = run(capsys, ["skew", "scaling", "--graph", graph_file, "--alpha", "1/2",
+                                "--pairs", "0"])
+    assert code == 0 and _strict_json(out) == {"max_deviation": 0.0, "pairs": 0}
+
+
 def test_ifs_attractor_pgm(capsys, tmp_path):
     out_path = tmp_path / "cloud.pgm"
     code, _, _ = run(capsys, ["ifs", "attractor", "--lambda", "0.366,0.52",

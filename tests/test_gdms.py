@@ -6,10 +6,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cxcdyn.gdms import (GDMSPoint, apply_map, box_dimension, build_interval_system,
-                         cover_counts, cover_rows, cylinder_from_word, distance,
-                         repellor_cover)
+                         cover_counts, cover_rows, cylinder_from_word, distance, pull_back,
+                         pull_back_cover, repellor_cover)
 from cxcdyn.graphs import make_graph
 from cxcdyn.render import cover_strip_svg
+
+import oracles
+from strategies import interval_systems
 
 
 def test_build_two_loops(standard_system):
@@ -71,26 +74,8 @@ def test_cover_counts_and_lengths(standard_system):
     assert {c.length for c in cover2} == {1 / 16}
 
 
-@st.composite
-def small_systems(draw):
-    """Irreducible graphs on 1-3 vertices (a spanning cycle plus extra edges),
-    degrees 2-5, random orientations and alpha; None when the embedding fails."""
-    n = draw(st.integers(1, 3))
-    degrees = st.integers(2, 5)
-    edges = [(v, v % n + 1, draw(degrees)) for v in range(1, n + 1)]
-    vertex = st.integers(1, n)
-    edges += draw(st.lists(st.tuples(vertex, vertex, degrees), min_size=1, max_size=4))
-    orientations = draw(st.lists(st.sampled_from([1, -1]),
-                                 min_size=len(edges), max_size=len(edges)))
-    alpha = draw(st.sampled_from([0.25, 0.5, 0.8]))
-    try:
-        return build_interval_system(make_graph(n, edges), alpha, orientations=orientations)
-    except ValueError:
-        return None
-
-
 @settings(max_examples=80, deadline=None)
-@given(small_systems(), st.integers(0, 5))
+@given(interval_systems(), st.integers(0, 5))
 def test_cover_counts_match_enumerated_cover(sys_, m):
     assume(sys_ is not None)
     cover = repellor_cover(sys_, m)
@@ -254,3 +239,30 @@ def test_cover_strip_svg_pinned(n, edges, digest):
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
     assert svg.count("<rect") == sum(len(repellor_cover(sys, m)) for m in range(6))
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(interval_systems(alphas=(0.3, 0.5, 0.7, 1.0)), st.integers(0, 8))
+def test_row_pull_back_equals_the_cylinder_oracle(sys_, m):
+    """Covers pulled back on rows equal the cylinder-by-cylinder pull-back,
+    float for float, and so does one more level and a single pull-back."""
+    assume(sys_ is not None and cover_counts(sys_, [m])[m][0] <= 4000)
+    cover = repellor_cover(sys_, m)
+    assert cover == oracles.repellor_cover(sys_, m)
+    assert pull_back_cover(sys_, cover) == oracles.pull_back_cover(sys_, cover)
+    for cyl in cover[:8]:
+        for b in sys_.branches:
+            if b.dst == cyl.component:
+                assert pull_back(sys_, b, cyl) == oracles.pull_back(sys_, b, cyl)
+
+
+def test_pull_back_rejects_a_cylinder_off_the_edge_target(alternating):
+    sys_ = build_interval_system(alternating, 0.5)
+    with pytest.raises(ValueError, match="edge 0 ends in 2"):
+        pull_back(sys_, sys_.branches[0], repellor_cover(sys_, 0)[0])
+
+
+def test_cover_strip_svg_rejects_a_negative_depth(standard_system):
+    # it used to return an SVG of negative height
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        cover_strip_svg(standard_system, -1)

@@ -1,13 +1,19 @@
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cxcdyn.gdms import GDMSPoint, apply_map, build_interval_system, locate_branch
 from cxcdyn.graphs import make_graph
-from cxcdyn.skew import (SkewPoint, circle_distance, orbit, periodic_base_point,
+from cxcdyn.skew import (_CHUNK, SkewPoint, circle_distance, orbit, periodic_base_point,
                          scaling_deviation, skew_box_dimension, skew_distance,
                          skew_map)
+
+import oracles
+from strategies import interval_systems
 
 
 def test_skew_map_midpoint(standard_system):
@@ -47,6 +53,77 @@ def test_local_homothety(standard_system):
     # about 10^4 sampled admissible pairs per edge
     pairs = 10**4 * len(standard_system.branches)
     assert scaling_deviation(standard_system, pairs=pairs, seed=0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(interval_systems(alphas=(0.3, 0.5, 0.7, 1.0)), st.integers(0, 300),
+       st.integers(0, 2**32 - 1))
+def test_scaling_deviation_equals_the_pair_by_pair_oracle(sys_, pairs, seed):
+    assume(sys_ is not None)
+    assert scaling_deviation(sys_, pairs, seed) == oracles.scaling_deviation(sys_, pairs, seed)
+
+
+def test_scaling_deviation_across_chunks_equals_the_oracle():
+    sys_ = build_interval_system(TWO_VERTEX, 0.7, orientations=[1, -1, -1, 1])
+    pairs = 2 * _CHUNK + 5
+    for seed in (0, 9):
+        fast = scaling_deviation(sys_, pairs, seed)
+        assert fast.hex() == oracles.scaling_deviation(sys_, pairs, seed).hex()
+        assert 0.0 < fast <= 1e-12
+
+
+def test_scaling_deviation_pair_count(standard_system):
+    assert scaling_deviation(standard_system, 0) == 0.0
+    with pytest.raises(ValueError, match="pairs must be >= 0"):
+        scaling_deviation(standard_system, -5)
+
+
+class _Replay:
+    """A generator stand-in that returns branch 0 and then the given doubles."""
+
+    def __init__(self, doubles):
+        self.doubles = list(doubles)
+
+    def integers(self, n):
+        return 0
+
+    def random(self, size=None, out=None):
+        count = len(out) if out is not None else size or 1
+        batch, self.doubles = self.doubles[:count], self.doubles[count:]
+        if out is not None:
+            out[:] = batch
+            return out
+        return np.array(batch) if size else batch[0]
+
+
+@pytest.mark.parametrize("doubles, message", [
+    # t = 0 and dt = -2^-54 / d: the angle (t + dt) % 1 rounds up to 1.0
+    ([0.25, 0.5, 0.0, 0.5 - 2.0**-54], "angle must lie in"),
+    # u = 1.5 puts the first point in the gap after its branch
+    ([1.5, 0.5, 0.3, 0.5], "outside every branch domain"),
+    ([0.5, -0.5, 0.3, 0.5], "outside every branch domain"),
+], ids=["angle", "first-point", "second-point"])
+def test_scaling_deviation_domain_errors_match_the_oracle(standard_system, monkeypatch,
+                                                           doubles, message):
+    errors = []
+    for sampler in (scaling_deviation, oracles.scaling_deviation):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _Replay(doubles))
+        with pytest.raises(ValueError, match=message) as info:
+            sampler(standard_system, 1)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+def test_scaling_deviation_memory_does_not_grow_with_pairs(standard_system):
+    # pairs are checked in chunks of _CHUNK; holding all of them at once
+    # peaks at about 42 MiB here, the chunks at about 1.7 MiB
+    tracemalloc.start()
+    try:
+        scaling_deviation(standard_system, 2 * 10**5, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_homothety_precondition_is_sharp(standard_system):
