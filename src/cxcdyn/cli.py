@@ -125,7 +125,7 @@ def _cmd_gdms(args) -> int:
         with open(args.out, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["word", "left", "right", "length"])
-            writer.writerows(gdms.cover_rows(gdms.repellor_cover(sys_, args.depth)))
+            writer.writerows(gdms.cover_listing(sys_, args.depth))
     _emit({"alpha": float(args.alpha), "depth": args.depth, "cylinders": cylinders,
            "mesh": mesh, "out": args.out})
     return 0

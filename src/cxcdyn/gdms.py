@@ -341,7 +341,20 @@ def box_dimension(sys: IntervalSystem, snowflaked: bool = False,
     return float(slope)
 
 
-def cover_rows(cover: Sequence[Cylinder]) -> list[tuple[str, float, float, float]]:
+_Listing = tuple[str, float, float, float]
+
+
+def cover_rows(cover: Sequence[Cylinder]) -> list[_Listing]:
     """CSV-ready rows (word, left, right, length) for a cover listing."""
     return [(".".join(map(str, c.word)) if c.word else f"base{c.component}",
              c.left, c.right, c.length) for c in cover]
+
+
+def cover_listing(sys: IntervalSystem, depth: int) -> Iterator[_Listing]:
+    """``cover_rows(repellor_cover(sys, depth))`` one row at a time, read off
+    the kernel's rows without building Cylinders or a list of listings."""
+    for rows in _cover_levels(sys, depth):
+        pass
+    return ((".".join(map(str, word)) if word else f"base{component}",
+             left, left + length, length)
+            for word, component, _, left, length in rows)

@@ -80,37 +80,49 @@ def involution(p: OrbPoint) -> OrbPoint:
     return orb_point(p.x, -p.y)
 
 
+def _nearest_square(t: float) -> float:
+    """min over m in (-1, 0, 1) of (t - m)^2: one axis of the nearest translate."""
+    u, v = t + 1.0, t - 1.0
+    return min(u * u, t * t, v * v)
+
+
 def orb_distance(p: OrbPoint, q: OrbPoint) -> float:
     """Length metric: min over sign and nearby integer translates of the
     Euclidean distance between plane representatives (geodesics lift
-    straight, so the finite minimum over 18 candidates is the true value)."""
+    straight, so the finite minimum over 18 candidates is the true value).
+
+    For one sign, translate (m, n) has squared distance fl(A_m + B_n), with
+    A_m = fl(fl(tx - m)^2) for tx = fl(px -+ qx), and B_n likewise in y.
+    Rounding is monotone, so the minimum over (m, n) is fl(min A + min B):
+    one nearest translate per axis gives the 18-candidate minimum bit for
+    bit."""
     px, py = float(p.x), float(p.y)
     qx, qy = float(q.x), float(q.y)
     best = math.inf
-    for sx, sy in ((qx, qy), (-qx, -qy)):
-        for m in (-1.0, 0.0, 1.0):
-            dx = px - sx - m
-            for n in (-1.0, 0.0, 1.0):
-                dy = py - sy - n
-                d2 = dx * dx + dy * dy
-                if d2 < best:
-                    best = d2
+    for tx, ty in ((px - qx, py - qy), (px + qx, py + qy)):
+        d2 = _nearest_square(tx) + _nearest_square(ty)
+        if d2 < best:
+            best = d2
     return math.sqrt(best)
+
+
+def _nearest_squares(t: np.ndarray) -> np.ndarray:
+    """``_nearest_square`` elementwise."""
+    u, v = t + 1.0, t - 1.0
+    return np.minimum(np.minimum(u * u, t * t), v * v)
 
 
 def orb_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``orb_distance`` between broadcast float coordinate arrays of shape
-    (..., 2): the same 18 translates and the same IEEE operations in the
-    same order, so each entry equals the scalar distance bit for bit."""
+    (..., 2): per sign, t = p - (+-q) once and the nearest translate on each
+    axis, then the smaller sign.  The same IEEE operations as the scalar
+    metric, so each entry equals it bit for bit; and, since rounding is
+    monotone (min over m, n of fl(A_m + B_n) = fl(min A + min B)), each equals
+    the minimum over all 18 translates as well."""
     px, py, qx, qy = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
-    best = np.full(np.broadcast_shapes(px.shape, qx.shape), math.inf)
-    for sx, sy in ((qx, qy), (-qx, -qy)):
-        for m in (-1.0, 0.0, 1.0):
-            dx = px - sx - m
-            for n in (-1.0, 0.0, 1.0):
-                dy = py - sy - n
-                np.minimum(best, dx * dx + dy * dy, out=best)
-    return np.sqrt(best)
+    same = _nearest_squares(px - qx) + _nearest_squares(py - qy)
+    opposite = _nearest_squares(px + qx) + _nearest_squares(py + qy)
+    return np.sqrt(np.minimum(same, opposite))
 
 
 CONE_POINTS = (

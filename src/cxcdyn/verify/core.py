@@ -101,6 +101,8 @@ def refine(adapter: Adapter, elements: Sequence[CoverElement]) -> list[CoverElem
 
 
 def build_covers(adapter: Adapter, depth: int) -> CoverSequence:
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     level0 = [CoverElement(uid=f"0:{i}", level=0, payload=p, parent=None,
                            degree_over_parent=1, diameter=adapter.diameter(p))
               for i, p in enumerate(adapter.initial_cover())]
@@ -110,8 +112,14 @@ def build_covers(adapter: Adapter, depth: int) -> CoverSequence:
     return CoverSequence(adapter=adapter, levels=levels)
 
 
+def _check_k_max(k_max: int) -> None:
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+
+
 def degree_report(covers: CoverSequence, k_max: int) -> int:
     """Largest degree of a k-step restriction, k <= k_max, over all levels."""
+    _check_k_max(k_max)
     worst = 1
     for level in covers.levels:
         for element in level:
@@ -212,6 +220,7 @@ def distortion_report(adapter: Adapter, covers: CoverSequence, k_max: int = 2,
     down k steps along the parent chain.  Diameter pairs: nested element
     pairs downstairs matched with nested pullbacks upstairs.
     """
+    _check_k_max(k_max)
     rng = np.random.default_rng(seed)
     round_pairs = []
     total = 0

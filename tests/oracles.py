@@ -9,10 +9,13 @@ raster's fiber degrees.
 
 The interval-system covers are pulled back on plain rows and the skew
 scaling sampler runs on arrays; the cylinder-by-cylinder pull-back and the
-pair-by-pair sampler they replaced are kept here too.
+pair-by-pair sampler they replaced are kept here too, and so are the
+orbifold distance loops over all 18 translates, which the package takes as
+one nearest translate per axis.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -37,6 +40,37 @@ def locate(regions, p):
         if point_in_triangle(p, region.domain):
             return region
     return IDENTITY_REGION
+
+
+def orb_distance(p, q):
+    """The orbifold distance as the minimum over both signs and all nine
+    translates (m, n) in {-1, 0, 1}^2."""
+    px, py = float(p.x), float(p.y)
+    qx, qy = float(q.x), float(q.y)
+    best = math.inf
+    for sx, sy in ((qx, qy), (-qx, -qy)):
+        for m in (-1.0, 0.0, 1.0):
+            dx = px - sx - m
+            for n in (-1.0, 0.0, 1.0):
+                dy = py - sy - n
+                d2 = dx * dx + dy * dy
+                if d2 < best:
+                    best = d2
+    return math.sqrt(best)
+
+
+def orb_distances(p, q):
+    """``orb_distance`` between broadcast float arrays of shape (..., 2), in
+    the same 18-translate loop."""
+    px, py, qx, qy = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
+    best = np.full(np.broadcast_shapes(px.shape, qx.shape), math.inf)
+    for sx, sy in ((qx, qy), (-qx, -qy)):
+        for m in (-1.0, 0.0, 1.0):
+            dx = px - sx - m
+            for n in (-1.0, 0.0, 1.0):
+                dy = py - sy - n
+                np.minimum(best, dx * dx + dy * dy, out=best)
+    return np.sqrt(best)
 
 
 def near_shuffle(a, v):

@@ -296,6 +296,29 @@ def test_negative_values_joined_with_equals(capsys, argv):
     assert code == 0 and json.loads(out)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "pillow", "--a", "1/8", "--resolution", "5", "--depth", "2", "--kmax=-2",
+      "--out", "{out}"], "k_max must be >= 1"),
+    (["verify", "pillow", "--a", "1/8", "--resolution", "5", "--depth", "2", "--kmax", "0"],
+     "k_max must be >= 1"),
+    (["verify", "pillow", "--a", "1/8", "--depth=-2"], "depth must be >= 0"),
+    (["verify", "menger", "--depth", "1", "--kmax=-1"], "k_max must be >= 1"),
+    (["verify", "menger", "--depth=-1"], "depth must be >= 0"),
+    (["verify", "gdms", "--graph", "{graph}", "--alpha", "1/2", "--depth", "3", "--kmax", "0"],
+     "k_max must be >= 1"),
+    (["verify", "gdms", "--graph", "{graph}", "--alpha", "1/2", "--depth=-1"],
+     "depth must be >= 0"),
+    (["verify", "dendrite", "--depth=-3"], "depth must be >= 0"),
+])
+def test_verify_rejects_negative_depth_and_kmax_below_one(capsys, graph_file, tmp_path,
+                                                          argv, message):
+    out_path = tmp_path / "k.csv"
+    argv = [arg.format(out=out_path, graph=graph_file) for arg in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == "" and message in err
+    assert not out_path.exists()
+
+
 def test_verify_menger(capsys):
     code, out, _ = run(capsys, ["verify", "menger", "--depth", "2",
                                 "--k", "2", "--n", "0"])

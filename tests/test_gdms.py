@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cxcdyn.gdms import (GDMSPoint, apply_map, box_dimension, build_interval_system,
-                         cover_counts, cover_rows, cylinder_from_word, distance, pull_back,
-                         pull_back_cover, repellor_cover)
+                         cover_counts, cover_listing, cover_rows, cylinder_from_word, distance,
+                         pull_back, pull_back_cover, repellor_cover)
 from cxcdyn.graphs import make_graph
 from cxcdyn.render import cover_strip_svg
 
@@ -202,6 +202,21 @@ def test_cover_rows(standard_system):
     assert all(r[3] == 0.25 for r in rows)
     base_rows = cover_rows(repellor_cover(standard_system, 0))
     assert base_rows[0][0] == "base1"
+
+
+@settings(max_examples=60, deadline=None)
+@given(interval_systems(alphas=(0.3, 0.5, 0.7, 1.0)), st.integers(0, 8))
+def test_cover_listing_is_the_listing_of_the_cover(sys_, m):
+    """The streamed listing row for row, float for float, as listed from Cylinders."""
+    assume(sys_ is not None and cover_counts(sys_, [m])[m][0] <= 4000)
+    expected = [(".".join(map(str, c.word)) if c.word else f"base{c.component}",
+                 c.left, c.right, c.length) for c in oracles.repellor_cover(sys_, m)]
+    assert list(cover_listing(sys_, m)) == expected == cover_rows(repellor_cover(sys_, m))
+
+
+def test_cover_listing_rejects_a_negative_depth(standard_system):
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        cover_listing(standard_system, -1)
 
 
 def test_cylinder_length_formula():

@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,6 +14,8 @@ from cxcdyn.pillowcase import (CONE_POINTS, CRITICAL_POINTS, HSQUEEZE, SHEAR,
                                singular_values, tent, tent_orbit)
 from cxcdyn.pillowcase import (LatticeError, LatticeMap, core, shuffle_atlas,
                                skeleton_forward_invariance, tiling)
+from cxcdyn.pillowcase.core import orb_distances
+import oracles
 from oracles import fraction_pillow_map, fraction_preimages, halvings, shuffle
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=64)
@@ -85,6 +88,55 @@ def test_orb_distance_examples():
     # on the reflection axis x = 0 the two heights are the same orbifold point
     assert orb_distance(orb_point(0, F(49, 100)), orb_point(0, F(-49, 100))) == 0.0
     assert orb_distance(orb_point(F(1, 100), 0), orb_point(F(-1, 100), 0)) == 0.0
+
+
+# finite floats in [-2, 2], with both zeros drawn often
+coordinates = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+FloatPoint = namedtuple("FloatPoint", "x y")
+
+
+def _same(got, want):
+    """Equal bit for bit, in type and shape too."""
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _points(draw, shape):
+    count = math.prod(shape) * 2
+    values = draw(st.lists(coordinates, min_size=count, max_size=count))
+    return np.array(values, dtype=float).reshape(*shape, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_orb_distance_matches_the_18_translate_oracle(data):
+    p, q = (FloatPoint(*data.draw(st.tuples(coordinates, coordinates))) for _ in range(2))
+    _same(orb_distance(p, q), oracles.orb_distance(p, q))
+    # on two single points the array kernel agrees with both
+    pa, qa = np.array(p), np.array(q)
+    _same(orb_distances(pa, qa), oracles.orb_distances(pa, qa))
+    assert float(orb_distances(pa, qa)) == orb_distance(p, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 5), st.integers(1, 5))
+def test_orb_distances_match_the_18_translate_oracle(data, n, m):
+    for p_shape, q_shape in (((n, 1), (1, m)), ((), (n,)), ((n,), ()), ((n,), (n,))):
+        p, q = _points(data.draw, p_shape), _points(data.draw, q_shape)
+        _same(orb_distances(p, q), oracles.orb_distances(p, q))
+
+
+def test_orb_distance_non_finite_inputs_match_the_oracle():
+    values = [math.inf, -math.inf, math.nan, 0.0, -0.0, 0.5, 1e308]
+    points = [FloatPoint(x, y) for x in values for y in values]
+    xy = np.array(points)
+    with np.errstate(invalid="ignore", over="ignore"):
+        _same(orb_distances(xy[:, None], xy[None, :]),
+              oracles.orb_distances(xy[:, None], xy[None, :]))
+    for p in points:
+        for q in points:
+            _same(orb_distance(p, q), oracles.orb_distance(p, q))
 
 
 def test_shear_matrix_derived_from_product():

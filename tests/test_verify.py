@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +108,20 @@ def test_chain_degree_past_the_root_raises(standard_system):
     assert leaf.chain_degree(2) == 4
     with pytest.raises(ValueError, match="chain shorter than k"):
         leaf.chain_degree(3)
+
+
+def test_negative_depth_and_kmax_below_one_raise(standard_system):
+    adapter = gdms_adapter(standard_system)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        build_covers(adapter, -1)
+    covers = build_covers(adapter, 0)
+    assert len(covers.levels) == 1
+    for k_max in (0, -2):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            degree_report(covers, k_max)
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            distortion_report(adapter, covers, k_max=k_max)
+    assert degree_report(covers, 1) == 1
 
 
 def test_pillowcase_disk_degrees_bounded():
@@ -331,6 +349,72 @@ def test_distance_kernel_equals_scalar_metric(resolution):
     for i, p in enumerate(points):
         for j, q in enumerate(points):
             assert table[i, j] == orb_distance(p, q)
+
+
+def _table_distances(grid, p, q):
+    return np.sqrt(grid.squared(p, q) / (2 * grid.ny) ** 2)
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5])
+def test_distance_tables_equal_the_kernel_on_every_pair(resolution):
+    grid = _PillowGrid(Fraction(1, 8), resolution)
+    flats = np.arange(grid.nx * grid.ny)
+    xy = grid.centers
+    expected = orb_distances(xy[:, None], xy[None, :])
+    assert _table_distances(grid, flats[:, None], flats[None, :]).tobytes() == expected.tobytes()
+
+
+def test_distance_tables_equal_the_kernel_at_resolution_8():
+    grid = _PillowGrid(Fraction(1, 8), 8)
+    rng = np.random.default_rng(8)
+    p, q = rng.integers(grid.nx * grid.ny, size=(2, 10**4))
+    expected = orb_distances(grid.centers[p], grid.centers[q])
+    assert _table_distances(grid, p, q).tobytes() == expected.tobytes()
+    # every pair of cells on the seam rows and columns
+    seams = np.array([grid.flat((i, j)) for i in range(grid.nx) for j in range(grid.ny)
+                      if i in (0, grid.nx - 1) or j in (0, grid.ny - 1)])
+    xy = grid.centers[seams]
+    expected = orb_distances(xy[:, None], xy[None, :])
+    got = _table_distances(grid, seams[:, None], seams[None, :])
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("resolution", [1, 3, 5])
+def test_neighbor_table_is_the_neighbor_function(resolution):
+    grid = _PillowGrid(Fraction(1, 8), resolution)
+    assert grid.nb.tolist() == [[grid.flat(nb) for nb in grid.neighbors((i, j))]
+                                for i in range(grid.nx) for j in range(grid.ny)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 6))
+def test_ring_is_the_set_ring(data, resolution):
+    """The neighbor-table ring of a cell set, against the set of neighbors
+    outside it, on payloads that touch the seams."""
+    grid = _PillowGrid(Fraction(1, 8), resolution)
+    seam = st.one_of(st.tuples(st.sampled_from([0, grid.nx - 1]), st.integers(0, grid.ny - 1)),
+                     st.tuples(st.integers(0, grid.nx - 1), st.sampled_from([0, grid.ny - 1])))
+    cell = st.tuples(st.integers(0, grid.nx - 1), st.integers(0, grid.ny - 1))
+    payload = frozenset(data.draw(st.lists(st.one_of(seam, cell), min_size=1,
+                                           max_size=grid.nx * grid.ny)))
+    expected = {grid.flat(nb) for c in payload for nb in grid.neighbors(c)}
+    expected -= {grid.flat(c) for c in payload}
+    flats = np.array(sorted(grid.flat(c) for c in payload))
+    assert set(grid.ring(flats).tolist()) == expected
+
+
+def test_disks_and_distortion_leave_numpy_ma_unloaded():
+    # np.unique and np.setdiff1d import numpy.ma (about 1.35 MB) on numpy 2.4
+    src = str(Path(adapters.__file__).resolve().parents[2])
+    code = ("import sys\n"
+            "from cxcdyn.verify import build_covers, distortion_report, pillowcase_adapter\n"
+            "adapter = pillowcase_adapter('1/8', 4, 'disks')\n"
+            "covers = build_covers(adapter, 2)\n"
+            "distortion_report(adapter, covers, k_max=2, samples_per_element=1)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def _hook_rows(adapter, depth):
