@@ -65,10 +65,6 @@ class AttractorApprox:
     def address(self, index: int) -> str:
         return format(index, f"0{self.depth}b")
 
-    @property
-    def leading_bits(self) -> np.ndarray:
-        return np.arange(len(self.points)) >> (self.depth - 1)
-
 
 def attractor_points(lam: complex, depth: int, seed: complex = 0.0) -> AttractorApprox:
     """Generate the 2^depth address images of the seed (default: the fixed
@@ -83,10 +79,6 @@ def attractor_points(lam: complex, depth: int, seed: complex = 0.0) -> Attractor
         # new leading bit becomes the most significant address bit
         pts = np.concatenate([lam * pts, lam * pts + 1.0])
     return AttractorApprox(lam=lam, depth=depth, seed=complex(seed), points=pts)
-
-
-def _as_xy(points: np.ndarray) -> np.ndarray:
-    return np.column_stack([points.real, points.imag])
 
 
 @dataclass(frozen=True)
@@ -104,38 +96,40 @@ def _close_pair_midpoints(approx: AttractorApprox, tol: float) -> np.ndarray:
     """Midpoints of the pairs (p, q), p from the 0-half and q from the
     1-half, with dx*dx + dy*dy <= tol*tol, ordered by p's index, then q's.
 
-    Cells at least tol wide put every close pair in a 3x3 block of cells;
-    cells at least extent * 2^-24 wide keep the packed int64 cell keys below
-    2^49 however small tol is.  Each of the nine block offsets is matched
-    against the sorted 1-half keys in turn, which bounds the candidates held.
+    A walk down the address tree.  The points under a prefix w of length l
+    are F_w(z) = F_w(0) + lam^l z, and z = sum_k v_k lam^k over the suffix
+    bits lies within 1/(2 - 2|lam|) of c = sum_k lam^k / 2.  So two nodes
+    hold a pair within tol only if their anchors F_w(0) (addresses w0...0)
+    lie within tol + r_l, r_l = |lam|^l / (1 - |lam|), plus a slack of
+    1e-9 * (1 + 1/(1 - |lam|)) for rounding in the stored points.  Leaves
+    take the scan's test on the same floats; an overflowing tol*tol keeps all.
     """
-    points = approx.points
-    half = len(points) // 2
-    x, y = points.real, points.imag
-    # the 2^-20 margin absorbs rounding in the cell coordinates, so a pair
-    # that passes the distance test never lands two cells apart
-    side = max(tol, max(np.ptp(x), np.ptp(y)) * 2.0**-24) * (1.0 + 2.0**-20)
-    ix = np.floor((x - x.min()) / side).astype(np.int64)
-    iy = np.floor((y - y.min()) / side).astype(np.int64) + 1  # room for dy = -1
-    width = int(iy.max()) + 2  # room for dy = +1
-    keys = ix * width + iy
-    order = half + np.argsort(keys[half:])
-    upper_keys = keys[order]
-    firsts, seconds = [], []
-    for shift in (dx * width + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
-        wanted = keys[:half] + shift
-        start = np.searchsorted(upper_keys, wanted, side="left")
-        counts = np.searchsorted(upper_keys, wanted, side="right") - start
-        i = np.repeat(np.arange(half), counts)
-        # each i meets the run start[i], start[i] + 1, ... of sorted keys
-        j = order[np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(len(i))]
-        dx, dy = x[i] - x[j], y[i] - y[j]
-        close = dx * dx + dy * dy <= tol * tol
-        firsts.append(i[close])
-        seconds.append(j[close])
-    i, j = np.concatenate(firsts), np.concatenate(seconds)
-    rank = np.lexsort((j, i))
-    return 0.5 * (points[i[rank]] + points[j[rank]])
+    assert approx.seed == 0, "the node radii hold for attractors grown from seed 0"
+    depth, points, r = approx.depth, approx.points, abs(approx.lam)
+    x, y = np.ascontiguousarray(points.real), np.ascontiguousarray(points.imag)
+    slack = 1e-9 * (1.0 + 1.0 / (1.0 - r))
+    # node pairs by their anchors' indices, below 2^24 by the depth cap
+    i = j = np.zeros(1, dtype=np.int32)
+    for level in range(1, depth + 1):
+        step = 1 << (depth - level)
+        bound = tol + r**level / (1.0 - r) + slack if level < depth else tol
+        kept = []
+        # the first level pairs the two halves; each offset is filtered alone
+        for di, dj in [(0, step)] if level == 1 else [(0, 0), (0, step), (step, 0), (step, step)]:
+            ci, cj = i + di, j + dj
+            dx, dy = x[ci] - x[cj], y[ci] - y[cj]
+            keep = dx * dx + dy * dy <= bound * bound
+            kept.append((ci[keep], cj[keep]))
+        i, j = (np.concatenate(side) for side in zip(*kept))
+    # sort by one int64 key, then take 0.5 * (p + q) in place
+    key = i.astype(np.int64) << depth | j
+    del i, j, kept, ci, cj, dx, dy, keep  # the walk's arrays, before the midpoints
+    key.sort()
+    midpoints = points[key >> depth]
+    key &= (1 << depth) - 1
+    midpoints += points[key]
+    midpoints *= 0.5
+    return midpoints
 
 
 def overlap_test(lam: complex, depth: int = 14, tol: float | None = None) -> OverlapReport:
@@ -146,6 +140,11 @@ def overlap_test(lam: complex, depth: int = 14, tol: float | None = None) -> Ove
     The verdict is heuristic: sampling cannot certify a singleton overlap,
     only make it plausible or refute it at the stated tolerance.
     """
+    return _overlap(lam, depth, tol)[0]
+
+
+def _overlap(lam: complex, depth: int, tol: float | None) -> tuple[OverlapReport, AttractorApprox]:
+    """The overlap test and the depth-m attractor it ran on."""
     lam = _check_param(lam)
     if depth < 6:
         raise ValueError("depth must be >= 6 so a shallower comparison run exists")
@@ -154,24 +153,19 @@ def overlap_test(lam: complex, depth: int = 14, tol: float | None = None) -> Ove
     if not 0 <= tol < math.inf:
         raise ValueError("tol must be a finite nonnegative number")
     approx_error = abs(lam) ** depth / (1.0 - abs(lam))
-
-    deep = _close_pair_midpoints(attractor_points(lam, depth), tol)
-    shallow_depth = depth - 4
-    shallow = _close_pair_midpoints(attractor_points(lam, shallow_depth),
-                                    default_tolerance(lam, shallow_depth))
+    approx = attractor_points(lam, depth)
+    deep = _close_pair_midpoints(approx, tol)
+    shallow = _close_pair_midpoints(attractor_points(lam, depth - 4),
+                                    default_tolerance(lam, depth - 4))
 
     def diameter(cloud: np.ndarray) -> float:
-        if len(cloud) == 0:
-            return 0.0
-        xy = _as_xy(cloud)
-        spans = xy.max(axis=0) - xy.min(axis=0)
-        return float(np.hypot(*spans))
+        return float(np.hypot(np.ptp(cloud.real), np.ptp(cloud.imag))) if len(cloud) else 0.0
 
     if len(deep) == 0:
         verdict = "rejected" if tol > 2.0 * approx_error else "inconclusive"
         return OverlapReport(lam=lam, depth=depth, tol=tol, pair_count=0,
                              overlap_diameter=0.0, candidate_o=complex("nan"),
-                             verdict=verdict)
+                             verdict=verdict), approx
     diam_deep, diam_shallow = diameter(deep), diameter(shallow)
     # a singleton overlap shrinks the midpoint cloud like the tolerance,
     # i.e. by |lam|^4 over the four extra levels, while a fat intersection
@@ -184,9 +178,8 @@ def overlap_test(lam: complex, depth: int = 14, tol: float | None = None) -> Ove
     centroid = complex(deep.mean())
     candidate = 0.5 * (centroid + involution(lam, centroid))
     return OverlapReport(lam=lam, depth=depth, tol=tol, pair_count=len(deep),
-                         overlap_diameter=diam_deep,
-                         candidate_o=candidate,
-                         verdict="plausible" if shrinks else "inconclusive")
+                         overlap_diameter=diam_deep, candidate_o=candidate,
+                         verdict="plausible" if shrinks else "inconclusive"), approx
 
 
 def branched_cover_step(lam: complex, z: complex, half: int) -> complex:
@@ -219,6 +212,26 @@ class KneadingSeq:
         return self.symbols
 
 
+def _nearest_index(approx: AttractorApprox, z: complex) -> int:
+    """The first index of least (x - z.x)**2 + (y - z.y)**2, as a scan finds
+    it.  Walks the tree of ``_close_pair_midpoints``: a node's points lie
+    within r_l of its anchor, which is a point, so a node farther than the
+    nearest anchor by r_l and the slack holds none.  NaN keeps every node."""
+    depth, points, r = approx.depth, approx.points, abs(approx.lam)
+    slack = 1e-9 * (1.0 + 1.0 / (1.0 - r))
+    index = np.zeros(1, dtype=np.int64)
+    for level in range(1, depth + 1):
+        # children in ascending order, so argmin keeps the scan's tie-break
+        index = np.stack([index, index + (1 << (depth - level))], axis=1).ravel()
+        dx, dy = points.real[index] - z.real, points.imag[index] - z.imag
+        if level < depth:
+            dist = np.hypot(dx, dy)
+            # the relative term covers rounding in the leaves' squares
+            far = dist - r**level / (1.0 - r) > dist.min() * (1.0 + 1e-9) + slack
+            index = index[~far]
+    return int(index[np.argmin(dx * dx + dy * dy)])
+
+
 def kneading_sequence(lam: complex, n: int, depth: int = 16,
                       tol: float | None = None) -> KneadingSeq:
     """Itinerary of the branch point under the degree-two cover.
@@ -226,39 +239,25 @@ def kneading_sequence(lam: complex, n: int, depth: int = 16,
     Membership in a half is decided by the leading address bit of the
     nearest approximation point; an iterate within tol of the branch point
     itself is ambiguous and raises.  The half containing the first iterate
-    is labeled 1 by convention.  Each of the n lookups scans all 2^depth
-    points, so the cost is O(n * 2^depth) on top of the overlap test.
+    is labeled 1 by convention.  Each lookup walks the address tree down to
+    the few leaves that can be nearest, not over all 2^depth points.
     """
     lam = _check_param(lam)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if tol is None:
-        tol = default_tolerance(lam, depth)
-    report = overlap_test(lam, depth, tol)
-    if report.verdict == "rejected":
-        raise ValueError("halves appear disjoint at this tolerance; no branched cover")
-    o = report.candidate_o
-    approx = attractor_points(lam, depth)
-    xs, ys = approx.points.real.copy(), approx.points.imag.copy()
-    # one pair of scratch arrays for all lookups: a fresh 2^depth-sized
-    # array per lookup costs more in page faults than the arithmetic
-    dx, dy = np.empty_like(xs), np.empty_like(ys)
-    leading = approx.leading_bits
-
-    def classify(z: complex) -> int:
-        np.subtract(xs, z.real, out=dx)
-        np.subtract(ys, z.imag, out=dy)
-        np.multiply(dx, dx, out=dx)
-        np.multiply(dy, dy, out=dy)
-        return int(leading[np.argmin(np.add(dx, dy, out=dx))])
-
+    report, approx = _overlap(lam, depth, tol)
+    if report.pair_count == 0:
+        reason = ("halves appear disjoint at this tolerance" if report.verdict == "rejected"
+                  else "tol is at most twice the approximation error")
+        raise ValueError(f"no branch point: {reason} (lam={lam}, depth={depth}, tol={report.tol})")
+    o, tol = report.candidate_o, report.tol
     z = o / lam  # both branch inverses agree at the branch point
-    first_half = classify(z)
+    first_half = _nearest_index(approx, z) >> (depth - 1)
     symbols = []
     for _ in range(n):
         if abs(z - o) <= tol:
             raise BranchPointError("itinerary hits branch point")
-        half = classify(z)
+        half = _nearest_index(approx, z) >> (depth - 1)  # the leading address bit
         symbols.append("1" if half == first_half else "0")
         z = branched_cover_step(lam, z, half)
     return KneadingSeq("".join(symbols))

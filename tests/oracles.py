@@ -12,6 +12,10 @@ scaling sampler runs on arrays; the cylinder-by-cylinder pull-back and the
 pair-by-pair sampler they replaced are kept here too, and so are the
 orbifold distance loops over all 18 translates, which the package takes as
 one nearest translate per axis.
+
+The dendrite's close pairs and nearest points come from a walk down the
+address tree; the all-pairs comparison (``all_pairs_midpoints``) and the
+scan of all 2^depth points (``nearest_index``) are their oracles.
 """
 
 import itertools
@@ -179,3 +183,20 @@ def scaling_deviation(sys, pairs, seed=0):
         rhs = b.degree * skew_distance(sys, p, q)
         worst = max(worst, abs(lhs - rhs))
     return worst
+
+
+def all_pairs_midpoints(approx, tol):
+    """Every (lower, upper) pair within tol, by lower then upper index."""
+    half = len(approx.points) // 2
+    lower, upper = approx.points[:half], approx.points[half:]
+    dx = lower.real[:, None] - upper.real[None, :]
+    dy = lower.imag[:, None] - upper.imag[None, :]
+    i, j = np.nonzero(dx * dx + dy * dy <= tol * tol)
+    return 0.5 * (lower[i] + upper[j])
+
+
+def nearest_index(approx, z):
+    """The first index of least squared distance to z, by a scan of all points."""
+    dx = approx.points.real - z.real
+    dy = approx.points.imag - z.imag
+    return int(np.argmin(dx * dx + dy * dy))

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from fractions import Fraction
 
 import cxcdyn
+import oracles
+from cxcdyn import dendrite
 from cxcdyn.dendrite import (BranchPointError, ExternalAngle, KneadingSeq, RealQuadratic,
-                             _close_pair_midpoints, attractor_points,
+                             _close_pair_midpoints, _nearest_index, attractor_points,
                              branched_cover_step, default_tolerance, involution,
                              involution_center, kneading_reference, kneading_sequence,
                              overlap_test)
@@ -188,30 +190,31 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert result.stdout.strip() == "[]"
 
 
-# --- close pairs against the all-pairs oracle --------------------------------
+# --- close pairs and nearest points against the oracles ----------------------
 
-def all_pairs_midpoints(approx, tol):
-    """Every (lower, upper) pair within tol, by lower then upper index."""
-    half = len(approx.points) // 2
-    lower, upper = approx.points[:half], approx.points[half:]
-    dx = lower.real[:, None] - upper.real[None, :]
-    dy = lower.imag[:, None] - upper.imag[None, :]
-    i, j = np.nonzero(dx * dx + dy * dy <= tol * tol)
-    return 0.5 * (lower[i] + upper[j])
+@st.composite
+def parameters(draw):
+    """Complex lam with 0.2 <= |lam| <= 0.95, and negative real lam."""
+    modulus = draw(st.floats(0.2, 0.95))
+    if draw(st.booleans()):
+        return complex(-modulus)
+    angle = draw(st.floats(0.0, 2 * np.pi))
+    return complex(modulus * np.cos(angle), modulus * np.sin(angle))
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.floats(0.2, 0.75), st.floats(0.0, 2 * np.pi), st.integers(1, 10))
-def test_close_pairs_match_all_pairs_oracle(modulus, angle, depth):
+@given(parameters(), st.integers(1, 10), st.sampled_from([0.0, 0.25, 1.0, 4.0, 1e308]))
+def test_close_pairs_match_all_pairs_oracle(lam, depth, scale):
     # same midpoints in the same order: the order fixes the summation order
     # of the centroid, hence every printed digit of candidate_o
-    lam = complex(modulus * np.cos(angle), modulus * np.sin(angle))
     approx = attractor_points(lam, depth)
-    tol = default_tolerance(lam, depth)
+    tol = 1e308 if scale == 1e308 else scale * default_tolerance(lam, depth)
     fast = _close_pair_midpoints(approx, tol)
-    oracle = all_pairs_midpoints(approx, tol)
+    oracle = oracles.all_pairs_midpoints(approx, tol)
     assert fast.dtype == oracle.dtype and fast.shape == oracle.shape
     assert (fast == oracle).all()
+    if tol == 1e308:  # tol * tol overflows, so every pair passes
+        assert len(fast) == 4 ** (depth - 1)
 
 
 @pytest.mark.parametrize("lam, depth", [(0.5, 10), (complex(0.606218, 0.35), 10),
@@ -220,8 +223,62 @@ def test_close_pairs_oracle_on_overlapping_cases(lam, depth):
     # fixed cases with many pairs, including the dyadic ties of lam = 1/2
     approx = attractor_points(lam, depth)
     for tol in (default_tolerance(lam, depth), 0.25 * default_tolerance(lam, depth), 0.0):
-        fast, oracle = _close_pair_midpoints(approx, tol), all_pairs_midpoints(approx, tol)
+        fast = _close_pair_midpoints(approx, tol)
+        oracle = oracles.all_pairs_midpoints(approx, tol)
         assert fast.shape == oracle.shape and (fast == oracle).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(parameters(), st.integers(1, 12), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_nearest_index_matches_the_scan(lam, depth, re, im):
+    approx = attractor_points(lam, depth)
+    z = complex(re, im)
+    assert _nearest_index(approx, z) == oracles.nearest_index(approx, z)
+
+
+@pytest.mark.parametrize("lam", [0.5, complex(0.606218, 0.35), -0.7, complex(0.1, 0.9)])
+def test_nearest_index_far_outside_the_attractor(lam):
+    # far away the anchors lie within the relative slack of the nearest one;
+    # huge z overflow every square to inf and NaN compares false, and there
+    # the scan takes its first index
+    approx = attractor_points(lam, 10)
+    for z in (complex(40, -7), complex(-1e6, 3e5), complex(1e155, 1e155), complex(1e200, 0),
+              complex(0, -1e300), complex("inf"), complex("nan"), complex(1e155, float("nan"))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _nearest_index(approx, z) == oracles.nearest_index(approx, z), z
+
+
+def test_nearest_index_on_points_and_ties_at_one_half():
+    # at lam = 1/2 the points are the dyadics k / 2^(depth-1), each computed
+    # exactly, and the midpoints between neighbours tie in squared distance
+    depth = 11
+    approx = attractor_points(0.5, depth)
+    points = np.sort(approx.points.real)
+    midpoints = 0.5 * (points[1:] + points[:-1])
+    for x in np.concatenate([points, midpoints, [-0.25, 2.25]]):
+        z = complex(x, 0.0)
+        assert _nearest_index(approx, z) == oracles.nearest_index(approx, z)
+    assert _nearest_index(approx, complex(midpoints[0])) == 0  # a tie: the lower index
+
+
+def test_kneading_builds_the_attractor_once(monkeypatch):
+    built = []
+    real = dendrite.attractor_points
+    monkeypatch.setattr(dendrite, "attractor_points",
+                        lambda lam, depth, *rest: built.append(depth) or real(lam, depth, *rest))
+    assert kneading_sequence(0.5, 8, depth=12).symbols == "10000000"
+    assert sorted(built) == [8, 12]  # the shallow comparison run and the lookups'
+
+
+def test_kneading_without_close_pairs_raises_and_names_the_inputs():
+    # tol at most twice the approximation error finds no pair; the branch
+    # point would be NaN, and no itinerary can start from it
+    report = overlap_test(0.1, 10, tol=1e-12)
+    assert report.pair_count == 0 and report.verdict == "inconclusive"
+    with pytest.raises(ValueError, match=r"no branch point.*lam=\(0\.1\+0j\), depth=10, tol=1e-12"):
+        kneading_sequence(0.1, 6, depth=10, tol=1e-12)
+    with pytest.raises(ValueError, match="disjoint.*depth=12"):
+        kneading_sequence(0.1, 6, depth=12)
 
 
 def test_overlap_rejects_negative_or_nan_tolerance():
