@@ -79,6 +79,13 @@ def _write(path: str, content: str) -> None:
         handle.write(content)
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -122,10 +129,8 @@ def _cmd_gdms(args) -> int:
     if args.out and args.out.endswith(".svg"):
         _write(args.out, render.cover_strip_svg(sys_, args.depth))
     elif args.out:
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["word", "left", "right", "length"])
-            writer.writerows(gdms.cover_listing(sys_, args.depth))
+        _write_csv(args.out, ["word", "left", "right", "length"],
+                   gdms.cover_listing(sys_, args.depth))
     _emit({"alpha": float(args.alpha), "depth": args.depth, "cylinders": cylinders,
            "mesh": mesh, "out": args.out})
     return 0
@@ -147,10 +152,7 @@ def _cmd_skew(args) -> int:
     rows = [(i, p.base.component, p.base.coordinate, p.angle)
             for i, p in enumerate(points)]
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["step", "component", "coordinate", "angle"])
-            writer.writerows(rows)
+        _write_csv(args.out, ["step", "component", "coordinate", "angle"], rows)
     _emit({"steps_completed": len(points) - 1, "out": args.out})
     return 0
 
@@ -161,11 +163,8 @@ def _cmd_ifs(args) -> int:
         if args.out and args.out.endswith(".pgm"):
             render.write_pgm(render.points_pgm(list(approx.points)), args.out)
         elif args.out:
-            with open(args.out, "w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["address", "re", "im"])
-                for i, z in enumerate(approx.points):
-                    writer.writerow([approx.address(i), z.real, z.imag])
+            _write_csv(args.out, ["address", "re", "im"],
+                       ([approx.address(i), z.real, z.imag] for i, z in enumerate(approx.points)))
         _emit({"depth": args.depth, "points": len(approx.points), "out": args.out})
         return 0
     if args.action == "overlap":
@@ -266,7 +265,9 @@ def _cmd_pillow(args) -> int:
                "points": [[p.x, p.y] for p in points]})
         return 0
     if args.action == "obstruct":
-        report = obstruction_report(args.a, samples_per_side=args.samples)
+        if args.samples is not None:
+            raise ValueError("obstruct lifts the curve exactly and takes no --samples")
+        report = obstruction_report(args.a)
         _emit({"a": args.a, "heights": [list(h) for h in report.lift_heights],
                "degrees": list(report.degrees), "isotopic": list(report.isotopic),
                "matrix": report.matrix, "spectral_radius": report.spectral_radius,
@@ -304,10 +305,8 @@ def _cmd_verify(args) -> int:
         adapter = gdms_adapter(sys_, snowflaked=args.snowflaked)
         covers = build_covers(adapter, args.depth)
         round_max = roundness_bound(covers, 0, 200)
-        word3 = None
-        level3 = [e for e in covers.levels[min(3, covers.depth)]]
-        if level3:
-            word3 = eventually_onto_check(adapter, level3[0].payload).steps
+        level3 = covers.levels[min(3, covers.depth)]
+        word3 = eventually_onto_check(adapter, level3[0].payload).steps if level3 else None
         payload = {"system": adapter.name, "meshes": covers.meshes,
                    "degree_max": degree_report(covers, args.kmax),
                    "roundness_max": round_max, "onto_steps_depth3_element": word3}
@@ -480,8 +479,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error(f"{args.command} {action}: the following arguments are "
                          f"required: {flag}")
     if getattr(args, "samples", None) is None and getattr(args, "command", "") == "pillow":
-        defaults = {"subdivide": 256, "obstruct": 64, "diff": 10**4, "invariance": 10**4}
-        args.samples = defaults.get(args.action, 256)
+        args.samples = {"subdivide": 256, "diff": 10**4, "invariance": 10**4}.get(args.action)
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError, OverflowError) as error:

@@ -74,10 +74,15 @@ def attractor_points(lam: complex, depth: int, seed: complex = 0.0) -> Attractor
         raise ValueError("depth must be >= 1")
     if depth > 24:
         raise ValueError("depth capped at 24 to bound memory")
-    pts = np.array([complex(seed)], dtype=complex)
-    for _ in range(depth):
-        # new leading bit becomes the most significant address bit
-        pts = np.concatenate([lam * pts, lam * pts + 1.0])
+    pts = np.empty(1 << depth, dtype=complex)
+    pts[0] = seed
+    for level in range(depth):
+        # the new leading bit is the most significant; lam * low is written
+        # beside low once (in place it may round differently) and copied down
+        low, high = pts[:1 << level], pts[1 << level:2 << level]
+        np.multiply(lam, low, out=high)
+        low[:] = high
+        high += 1.0
     return AttractorApprox(lam=lam, depth=depth, seed=complex(seed), points=pts)
 
 

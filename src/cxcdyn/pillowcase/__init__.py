@@ -7,7 +7,7 @@ from .core import (CONE_POINTS, CRITICAL_POINTS, AffinePiece, AffineRegion,
                    orb_distance, orb_point, perturbation, pillow_map, postcritical_set,
                    preimages, shuffle_atlas, singular_values, tent, tent_orbit,
                    HSQUEEZE, PIECE_MATRICES, SHEAR, VSTRETCH)
-from .curves import (ContinuationError, LiftedCurve, ObstructionReport, ThurstonReport,
+from .curves import (LiftedCurve, ObstructionReport, ThurstonReport,
                      curve_preimage, horizontal_curve, horizontal_isotopic,
                      is_horizontal, obstruction_report, thurston_matrix)
 from .tiling import (Tile, Tiling, base_faces, base_skeleton,

@@ -1,15 +1,19 @@
 """Closed-curve pullback and obstruction matrices for the pillowcase family.
 
-A closed polyline avoiding the postcritical set lifts through the map by
-continuation: fibers are exact (four simple preimages), consecutive fibers
-are matched by proximity, and a lift closes up after as many circuits of the
-base curve as its covering degree.  For horizontal circles, isotopy relative
-to the postcritical set reduces to a height comparison because every
-postcritical point sits on the two horizontal boundary edges.
+A closed polyline avoiding the postcritical set lifts exactly, through the
+tile pullback of ``tiling``: each edge, the shortest geodesic to the next
+vertex, is cut at the fold lines and at the inverse shuffle's triangles,
+and each piece is halved onto its four preimages on one integer lattice.
+Every fiber along the curve is simple, so the lifted pieces of consecutive
+edges join at their shared endpoints, and a lift closes up after as many
+circuits of the base curve as its covering degree.  For horizontal circles,
+isotopy relative to the postcritical set reduces to a height comparison
+because every postcritical point sits on the two horizontal boundary edges.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,12 +22,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..dimension import spectral_radius
-from .core import (OrbPoint, RatLike, check_parameter, orb_distance, orb_point,
-                   postcritical_set, preimages)
-
-
-class ContinuationError(RuntimeError):
-    """Fiber matching became ambiguous; the curve needs finer sampling."""
+from .core import (HALF, Lattice, LatticePoint, OrbPoint, RatLike, _frac, check_parameter,
+                   orb_point, postcritical_set)
+from .tiling import _canonical_placement, _closed, _Pullback
 
 
 def horizontal_curve(height: RatLike, samples_per_side: int = 64) -> list[OrbPoint]:
@@ -33,85 +34,108 @@ def horizontal_curve(height: RatLike, samples_per_side: int = 64) -> list[OrbPoi
     rows are glued through the side edges, so the list is cyclic (the last
     vertex neighbors the first).
     """
-    h = Fraction(height)
-    if not (0 < h < Fraction(1, 2)):
+    h = _frac(height)
+    if not (0 < h < HALF):
         raise ValueError("height must lie strictly between 0 and 1/2")
     s = samples_per_side
     if s < 2:
         raise ValueError(f"need at least 2 samples per side, got {s}")
-    out = [orb_point(Fraction(k, 2 * s), h) for k in range(s + 1)]
-    back = [orb_point(Fraction(k, 2 * s), -h) for k in range(s - 1, 0, -1)]
-    return out + back
+    return ([orb_point(Fraction(k, 2 * s), h) for k in range(s + 1)]
+            + [orb_point(Fraction(k, 2 * s), -h) for k in range(s - 1, 0, -1)])
 
 
 @dataclass(frozen=True)
 class LiftedCurve:
-    points: tuple[OrbPoint, ...]
+    points: tuple[OrbPoint, ...]  # the breakpoints, in order along the lift
     degree: int
 
     def heights(self) -> tuple[Fraction, ...]:
         return tuple(sorted({abs(p.y) for p in self.points}))
 
 
+def _nearest(scale: int, p: LatticePoint, q: LatticePoint) -> tuple[int, list[LatticePoint]]:
+    """The least squared distance from canonical p to a plane representative
+    of canonical q within one translate, and every representative at it."""
+    dist = {(x, y): (x - p[0]) ** 2 + (y - p[1]) ** 2 for s in (1, -1)
+            for x in (s * q[0] - scale, s * q[0], s * q[0] + scale)
+            for y in (s * q[1] - scale, s * q[1], s * q[1] + scale)}
+    least = min(dist.values())
+    return least, sorted(r for r, d in dist.items() if d == least)
+
+
+def _on_segment(r: LatticePoint, p: LatticePoint, q: LatticePoint) -> bool:
+    (dx, dy), (rx, ry) = (q[0] - p[0], q[1] - p[1]), (r[0] - p[0], r[1] - p[1])
+    return dx * ry == dy * rx and 0 <= dx * rx + dy * ry <= dx * dx + dy * dy
+
+
 def curve_preimage(a: RatLike, curve: Sequence[OrbPoint], tol: float = 1e-9) -> list[LiftedCurve]:
     """All connected preimage curves of a closed polyline, with degrees.
 
-    Requires the curve to stay tol-clear of the postcritical set, which
-    keeps every fiber simple.  Degrees always sum to the covering degree 4.
+    Edge k runs from vertex k to the nearest representative of vertex k + 1
+    (a tie is ambiguous).  The vertices must stay tol-clear of the
+    postcritical set and the edges must miss it, so every fiber on the curve
+    is simple.  The lifted pieces of each edge join those of the next at
+    their shared endpoints.  A lift's degree is the number of preimages of
+    ``curve[0]`` it holds, and lifts are ordered by the least of them.
     """
     a = check_parameter(a)
     if len(curve) < 3:
         raise ValueError("need a closed polyline with at least 3 vertices")
-    pcs = postcritical_set(a)
-    for p in curve:
-        if min(orb_distance(p, q) for q in pcs) <= tol:
-            raise ValueError("curve passes through (or too near) the postcritical set")
+    base = Lattice(a, math.lcm(2 * a.denominator, *(c.denominator for p in curve
+                                                     for c in (p.x, p.y))), "a curve")
+    verts = [base.canonical(base.numerator(p.x), base.numerator(p.y)) for p in curve]
+    pcs = [(base.numerator(c.x), base.numerator(c.y)) for c in postcritical_set(a)]
+    clearance, edges = Fraction(tol) ** 2 * base.scale ** 2, []
+    for k, (p, q) in enumerate(_closed(verts)):
+        name = f"edge {k} from {base.point(*p)} to {base.point(*q)}"
+        ends = _nearest(base.scale, p, q)[1]
+        for c in pcs:
+            # a point on a shortest geodesic from p lies there at a nearest representative
+            least, near = _nearest(base.scale, p, c)
+            if least <= clearance:
+                raise ValueError("curve passes through (or too near) the postcritical set")
+            if ends[0] != p and any(_on_segment(r, p, ends[0]) for r in near):
+                raise ValueError(f"{name} passes through the postcritical set")
+        if len(ends) > 1:
+            raise ValueError(f"{name} has {len(ends)} shortest geodesics; add a vertex")
+        edges.append((p, ends[0]))
 
-    fibers: list[list[OrbPoint]] = []
-    for p in curve:
-        fiber = preimages(a, p)
-        if any(deg != 1 for _, deg in fiber):
-            raise ValueError("curve hits a critical value; fibers are not simple")
-        fibers.append([q for q, _ in fiber])
+    # p + t (dx, dy) cuts a line with integer normal (A, B) on the lattice
+    # over base * |A dx + B dy|; the fold and atlas lines have normals (1, 0),
+    # (0, 1), (1, +-1) and (2, +-1).  Moving back and halving take a factor 4.
+    grow = 4 * math.lcm(*(abs(e) for (px, py), (qx, qy) in edges
+                          for dx, dy in [(qx - px, qy - py)]
+                          for e in (dx, dy, dx - dy, dx + dy, 2 * dx - dy, 2 * dx + dy) if e))
+    pullback = _Pullback(a, base.scale * grow, depth=1)
+    folds = [line for k in range(-2, 3) for line in ((1, 0, k * pullback.half),
+                                                     (0, 1, k * pullback.half))]
+    lifted = []  # per piece of the curve, in order: its four lifts as (start, end)
+    for (px, py), (qx, qy) in edges:
+        for piece in pullback.split((px * grow, py * grow), (qx * grow, qy * grow), folds):
+            for moved in pullback.shuffle_back(*_canonical_placement(piece, pullback.scale)):
+                lifted.append([tuple(pullback.canonical(*v) for v in branch)
+                               for branch in pullback.halvings(moved)])
+    follow = [{start: b for b, (start, _) in enumerate(branches)} for branches in lifted]
+    if any(len(starts) != 4 for starts in follow):
+        raise RuntimeError("a fiber on the curve is not simple; invariant violated")
 
-    length = len(curve)
-    steps = [orb_distance(curve[k], curve[(k + 1) % length]) for k in range(length)]
-    max_step = max(steps)
-
-    remaining = set(range(4))
-    lifts: list[LiftedCurve] = []
-    while remaining:
-        start_index = min(remaining)
-        start = fibers[0][start_index]
-        current = start
-        points = [start]
-        rounds = 0
-        step = 0
-        while True:
-            step += 1
-            fiber = fibers[step % length]
-            ranked = sorted((orb_distance(current, cand), i) for i, cand in enumerate(fiber))
-            (d0, i0), (d1, _) = ranked[0], ranked[1]
-            if d0 > 0.49 * d1 or d0 > max_step:
-                raise ContinuationError("preimage continuation ambiguous; refine the curve")
-            current = fiber[i0]
-            if step % length == 0:
-                rounds += 1
-                remaining.discard(fibers[0].index(current))
-                if current == start:
-                    break
-                if rounds >= 8:
-                    raise ContinuationError("lift failed to close; refine the curve")
-            points.append(current)
-        lifts.append(LiftedCurve(points=tuple(points), degree=rounds))
-    if sum(c.degree for c in lifts) != 4:
-        raise RuntimeError("covering degrees of the lifts do not sum to 4")
+    lifts, seen = [], set()
+    for first in sorted(follow[0]):
+        b, points = follow[0][first], []
+        while lifted[0][b][0] not in seen:  # one circuit of the curve per pass
+            seen.add(lifted[0][b][0])
+            for branches, after in zip(lifted, follow[1:] + follow[:1]):
+                start, end = branches[b]
+                points.append(pullback.point(*start))
+                b = after[end]
+        if points:
+            lifts.append(LiftedCurve(points=tuple(points), degree=len(points) // len(lifted)))
     return lifts
 
 
 def is_horizontal(points: Sequence[OrbPoint]) -> bool:
     heights = {abs(p.y) for p in points}
-    return len(heights) == 1 and all(0 < h < Fraction(1, 2) for h in heights)
+    return len(heights) == 1 and all(0 < h < HALF for h in heights)
 
 
 def horizontal_isotopic(h1: Fraction, h2: Fraction, pcs: Sequence[OrbPoint]) -> bool:
@@ -168,28 +192,19 @@ class ObstructionReport:
     obstructed: bool
 
 
-def obstruction_report(a: RatLike, height: RatLike = Fraction(1, 4),
-                       samples_per_side: int = 64) -> ObstructionReport:
-    """Pull back the standard horizontal circle and assemble its matrix."""
+def obstruction_report(a: RatLike, height: RatLike = Fraction(1, 4)) -> ObstructionReport:
+    """Pull back the horizontal circle at ``height`` (its four-vertex polyline)
+    and assemble its matrix."""
     a = check_parameter(a)
-    height = Fraction(height)
-    curve = horizontal_curve(height, samples_per_side)
-    lifts = curve_preimage(a, curve)
+    height = _frac(height)
+    lifts = curve_preimage(a, horizontal_curve(height, 2))
     pcs = postcritical_set(a)
-    pullback_data = []
-    isotopy_flags = []
-    for lift in lifts:
-        if is_horizontal(lift.points):
-            iso = horizontal_isotopic(lift.heights()[0], height, pcs)
-        else:
-            iso = False
-        isotopy_flags.append(iso)
-        pullback_data.append((0 if iso else None, lift.degree))
-    report = thurston_matrix(1, [pullback_data])
+    isotopic = tuple(is_horizontal(c.points) and horizontal_isotopic(c.heights()[0], height, pcs)
+                     for c in lifts)
+    report = thurston_matrix(1, [[(0 if iso else None, c.degree)
+                                  for iso, c in zip(isotopic, lifts)]])
     return ObstructionReport(a=a, curve_height=height,
                              lift_heights=tuple(c.heights() for c in lifts),
-                             degrees=tuple(c.degree for c in lifts),
-                             isotopic=tuple(isotopy_flags),
-                             matrix=report.matrix,
-                             spectral_radius=report.spectral_radius,
+                             degrees=tuple(c.degree for c in lifts), isotopic=isotopic,
+                             matrix=report.matrix, spectral_radius=report.spectral_radius,
                              obstructed=report.obstructed)

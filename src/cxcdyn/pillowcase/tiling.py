@@ -57,7 +57,6 @@ class _Pullback(Lattice):
 
     def __init__(self, a: Fraction, scale: int, depth: int):
         super().__init__(a, scale, f"the pullback at a = {a}, depth {depth}")
-        self.depth = depth
         self.regions, self.lines = [], [_FOLD_LINE]
         for tri, matrix, offset in self.scaled_atlas(inverse=True):
             for (x1, y1), (x2, y2) in _closed(tri):
@@ -232,6 +231,8 @@ def subdivide(a: RatLike, depth: int, invariance_samples: int = 256) -> Tiling:
     pullback a subdivision; it is sampled exactly before any work happens.
     Tile counts quadruple each level because the map is a degree-four cover
     unramified over the open faces (all critical values sit on the skeleton).
+    The denominator den(a) 2^(2 depth + 2) is a checked assumption: depths 0-4
+    needed 2^0, 2^2, 2^3, 2^4 and 2^6; a shortfall raises ``LatticeError``.
     """
     a = check_parameter(a)
     if not (0 <= depth <= 8):

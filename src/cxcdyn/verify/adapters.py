@@ -192,12 +192,8 @@ def dendrite_adapter() -> Adapter:
 
     def dtc(iv: Interval, z: float) -> float:
         lo, hi = iv
-        exits = []
-        if lo > 0.0:
-            exits.append(z - lo)
-        if hi < 2.0:
-            exits.append(hi - z)
-        return min(exits) if exits else float("inf")
+        exits = ([z - lo] if lo > 0.0 else []) + ([hi - z] if hi < 2.0 else [])
+        return min(exits, default=float("inf"))
 
     return Adapter(
         name="dendrite-slice(1/2)",
@@ -269,12 +265,10 @@ class _PillowGrid:
 
     def neighbors(self, cell: Cell) -> list[Cell]:
         i, j = cell
-        out = []
-        out.append((i - 1, j) if i > 0 else (0, self.ny - 1 - j))
-        out.append((i + 1, j) if i + 1 < self.nx else (self.nx - 1, self.ny - 1 - j))
-        out.append((i, j - 1) if j > 0 else (i, self.ny - 1))
-        out.append((i, j + 1) if j + 1 < self.ny else (i, 0))
-        return out
+        return [(i - 1, j) if i > 0 else (0, self.ny - 1 - j),
+                (i + 1, j) if i + 1 < self.nx else (self.nx - 1, self.ny - 1 - j),
+                (i, j - 1) if j > 0 else (i, self.ny - 1),
+                (i, j + 1) if j + 1 < self.ny else (i, 0)]
 
     @functools.cached_property
     def nb(self) -> np.ndarray:
@@ -510,11 +504,7 @@ def menger_adapter(params: MengerParams) -> Adapter:
 
     def diameter(payload: CubeCells) -> float:
         scale = 3 ** payload.level
-        spans = []
-        for axis in range(k):
-            values = [c[axis] for c in payload.cells]
-            spans.append((max(values) - min(values) + 1) / scale)
-        return max(spans)
+        return max((max(values) - min(values) + 1) / scale for values in zip(*payload.cells))
 
     def samples(payload: CubeCells, n: int, rng) -> list[tuple[float, ...]]:
         cells = sorted(payload.cells)

@@ -90,23 +90,19 @@ class CoverSequence:
 
 def refine(adapter: Adapter, elements: Sequence[CoverElement]) -> list[CoverElement]:
     """Next cover level: preimage components with parent links and degrees."""
-    out = []
-    for element in elements:
-        for index, (payload, degree) in enumerate(adapter.preimage_components(element.payload)):
-            out.append(CoverElement(uid=f"{element.uid}/{index}",
-                                    level=element.level + 1, payload=payload,
-                                    parent=element, degree_over_parent=degree,
-                                    diameter=adapter.diameter(payload)))
-    return out
+    return [CoverElement(uid=f"{element.uid}/{index}", level=element.level + 1,
+                         payload=payload, parent=element, degree_over_parent=degree,
+                         diameter=adapter.diameter(payload))
+            for element in elements
+            for index, (payload, degree) in enumerate(adapter.preimage_components(element.payload))]
 
 
 def build_covers(adapter: Adapter, depth: int) -> CoverSequence:
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    level0 = [CoverElement(uid=f"0:{i}", level=0, payload=p, parent=None,
-                           degree_over_parent=1, diameter=adapter.diameter(p))
-              for i, p in enumerate(adapter.initial_cover())]
-    levels = [level0]
+    levels = [[CoverElement(uid=f"0:{i}", level=0, payload=p, parent=None,
+                            degree_over_parent=1, diameter=adapter.diameter(p))
+               for i, p in enumerate(adapter.initial_cover())]]
     for _ in range(depth):
         levels.append(refine(adapter, levels[-1]))
     return CoverSequence(adapter=adapter, levels=levels)
@@ -223,7 +219,6 @@ def distortion_report(adapter: Adapter, covers: CoverSequence, k_max: int = 2,
     _check_k_max(k_max)
     rng = np.random.default_rng(seed)
     round_pairs = []
-    total = 0
     for level in covers.levels:
         for element in level[:element_cap]:
             for k in range(1, min(k_max, element.level) + 1):
@@ -236,7 +231,6 @@ def distortion_report(adapter: Adapter, covers: CoverSequence, k_max: int = 2,
                     except ValueError:
                         continue  # sampled point not interior; skip the pair
                     round_pairs.append((down.level, k, down_round, up_round))
-                    total += 1
 
     # the k-step pullbacks of each capped element, read off the cover tree once
     pullbacks = {}
@@ -263,8 +257,8 @@ def distortion_report(adapter: Adapter, covers: CoverSequence, k_max: int = 2,
                         if up is not None:
                             up_ratio = tilde_small.diameter / up.diameter
                             diam_pairs.append((n0, n1, k, down_ratio, up_ratio))
-                            total += 1
-    return DistortionReport(roundness_pairs=round_pairs, diam_pairs=diam_pairs, samples=total)
+    return DistortionReport(roundness_pairs=round_pairs, diam_pairs=diam_pairs,
+                            samples=len(round_pairs) + len(diam_pairs))
 
 
 @dataclass(frozen=True)
@@ -288,13 +282,10 @@ def eventually_onto_check(adapter: Adapter, payload: Any, max_iter: int = 64) ->
     if adapter.forward_step is None or adapter.covered_component is None \
             or adapter.all_components is None:
         raise NotImplementedError(f"adapter {adapter.name} has no symbolic representation")
-    needed = set(adapter.all_components)
-    state = {payload}
-    covered = {c for p in state if (c := adapter.covered_component(p)) is not None}
-    if needed <= covered:
-        return OntoResult(steps=0)
-    for n in range(1, max_iter + 1):
-        state = {q for p in state for q in adapter.forward_step(p)}
+    needed, state, covered = set(adapter.all_components), {payload}, set()
+    for n in range(max_iter + 1):
+        if n:
+            state = {q for p in state for q in adapter.forward_step(p)}
         covered |= {c for p in state if (c := adapter.covered_component(p)) is not None}
         if needed <= covered:
             return OntoResult(steps=n)

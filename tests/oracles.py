@@ -15,19 +15,28 @@ one nearest translate per axis.
 
 The dendrite's close pairs and nearest points come from a walk down the
 address tree; the all-pairs comparison (``all_pairs_midpoints``) and the
-scan of all 2^depth points (``nearest_index``) are their oracles.
+scan of all 2^depth points (``nearest_index``) are their oracles, and the
+attractor's level-by-level concatenation (``attractor_points``) is the
+oracle of its preallocated build.
+
+Closed curves lift exactly, through the tile pullback; the continuation
+lifter it replaced (``continuation_preimage``), which samples the curve and
+matches consecutive fibers by proximity, is kept here as their oracle.
 """
 
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from cxcdyn.gdms import Cylinder, GDMSPoint, base_cylinder
-from cxcdyn.pillowcase.core import (HALF, AffineRegion, check_parameter, doubling, mat,
-                                    mat_vec, orb_point, point_in_triangle, shuffle_atlas)
+from cxcdyn.pillowcase import LiftedCurve, postcritical_set, preimages
+from cxcdyn.pillowcase.core import (HALF, AffineRegion, OrbPoint, RatLike, check_parameter,
+                                    doubling, mat, mat_vec, orb_point, point_in_triangle,
+                                    shuffle_atlas)
 from cxcdyn.skew import SkewPoint, skew_distance, skew_map
 
 IDENTITY_REGION = AffineRegion((), mat(1, 0, 0, 1), (Fraction(0), Fraction(0)))
@@ -108,6 +117,66 @@ def fraction_preimages(a, p):
     shuffled-back target, counted with coincidences."""
     v = shuffle(check_parameter(a), p, inverse=True)
     return sorted(Counter(orb_point(*q) for (q,) in halvings(((v.x, v.y),))).items())
+
+
+class ContinuationError(RuntimeError):
+    """Fiber matching became ambiguous; the curve needs finer sampling."""
+
+
+def continuation_preimage(a: RatLike, curve: Sequence[OrbPoint], tol: float = 1e-9) -> list[LiftedCurve]:
+    """All connected preimage curves of a closed polyline, with degrees.
+
+    Requires the curve to stay tol-clear of the postcritical set, which
+    keeps every fiber simple.  Degrees always sum to the covering degree 4.
+    """
+    a = check_parameter(a)
+    if len(curve) < 3:
+        raise ValueError("need a closed polyline with at least 3 vertices")
+    pcs = postcritical_set(a)
+    for p in curve:
+        if min(orb_distance(p, q) for q in pcs) <= tol:
+            raise ValueError("curve passes through (or too near) the postcritical set")
+
+    fibers: list[list[OrbPoint]] = []
+    for p in curve:
+        fiber = preimages(a, p)
+        if any(deg != 1 for _, deg in fiber):
+            raise ValueError("curve hits a critical value; fibers are not simple")
+        fibers.append([q for q, _ in fiber])
+
+    length = len(curve)
+    steps = [orb_distance(curve[k], curve[(k + 1) % length]) for k in range(length)]
+    max_step = max(steps)
+
+    remaining = set(range(4))
+    lifts: list[LiftedCurve] = []
+    while remaining:
+        start_index = min(remaining)
+        start = fibers[0][start_index]
+        current = start
+        points = [start]
+        rounds = 0
+        step = 0
+        while True:
+            step += 1
+            fiber = fibers[step % length]
+            ranked = sorted((orb_distance(current, cand), i) for i, cand in enumerate(fiber))
+            (d0, i0), (d1, _) = ranked[0], ranked[1]
+            if d0 > 0.49 * d1 or d0 > max_step:
+                raise ContinuationError("preimage continuation ambiguous; refine the curve")
+            current = fiber[i0]
+            if step % length == 0:
+                rounds += 1
+                remaining.discard(fibers[0].index(current))
+                if current == start:
+                    break
+                if rounds >= 8:
+                    raise ContinuationError("lift failed to close; refine the curve")
+            points.append(current)
+        lifts.append(LiftedCurve(points=tuple(points), degree=rounds))
+    if sum(c.degree for c in lifts) != 4:
+        raise RuntimeError("covering degrees of the lifts do not sum to 4")
+    return lifts
 
 
 def fraction_cell_of(grid, p):
@@ -200,3 +269,12 @@ def nearest_index(approx, z):
     dx = approx.points.real - z.real
     dy = approx.points.imag - z.imag
     return int(np.argmin(dx * dx + dy * dy))
+
+
+def attractor_points(lam, depth, seed=0.0):
+    """The 2^depth address images of the seed, one level at a time: the new
+    leading bit is the most significant, by concatenating both maps' images."""
+    pts = np.array([complex(seed)], dtype=complex)
+    for _ in range(depth):
+        pts = np.concatenate([lam * pts, lam * pts + 1.0])
+    return pts

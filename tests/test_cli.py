@@ -175,6 +175,41 @@ def test_pillow_obstruct(capsys):
     assert abs(payload["spectral_radius"] - 1.0) <= 1e-12
 
 
+# `pillow obstruct` as the 64-sample continuation lifter printed it
+_OBSTRUCT_STDOUT = """{
+  "a": "%s",
+  "degrees": [
+    2,
+    2
+  ],
+  "heights": [
+    [
+      "1/8"
+    ],
+    [
+      "3/8"
+    ]
+  ],
+  "isotopic": [
+    true,
+    true
+  ],
+  "matrix": [
+    [
+      1.0
+    ]
+  ],
+  "obstructed": true,
+  "spectral_radius": 1.0
+}
+"""
+
+
+@pytest.mark.parametrize("a", ["0", "1/64", "3/40", "1/8", "5/97"])
+def test_pillow_obstruct_stdout_pinned(capsys, a):
+    assert run(capsys, ["pillow", "obstruct", "--a", a]) == (0, _OBSTRUCT_STDOUT % a, "")
+
+
 def test_verify_dendrite(capsys):
     code, out, _ = run(capsys, ["verify", "dendrite", "--depth", "10"])
     payload = json.loads(out)
@@ -414,6 +449,7 @@ def test_zero_denominator_is_a_usage_error(capsys, graph_file, argv):
     (["pillow", "invariance", "--a", "1/8", "--samples", "0"], "samples"),
     (["pillow", "subdivide", "--a", "1/8", "--depth", "1", "--samples", "-3", "--out", "OUT"],
      "samples"),
+    (["pillow", "obstruct", "--a", "1/8", "--samples", "64"], "--samples"),
 ])
 def test_malformed_point_or_grid_exits_one(capsys, tmp_path, argv, message):
     out_path = tmp_path / "unused.pgm"

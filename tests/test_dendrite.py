@@ -44,6 +44,17 @@ def test_attractor_self_similarity():
     assert np.allclose(np.sort_complex(deep), np.sort_complex(rebuilt), atol=0)
 
 
+@pytest.mark.parametrize("lam", [0.5, -0.7, complex(0.4, 0.2), complex(0.606218, 0.35),
+                                 complex(-0.3, 0.7)])
+@pytest.mark.parametrize("seed", [0.0, complex(0.3, -0.2)])
+def test_attractor_points_match_the_concatenation(lam, seed):
+    """The preallocated build equals the level-by-level concatenation bit for bit."""
+    for depth in (1, 2, 3, 9, 14):
+        built = attractor_points(lam, depth, seed).points
+        expected = oracles.attractor_points(lam, depth, seed)
+        assert built.dtype == expected.dtype and built.tobytes() == expected.tobytes()
+
+
 def test_attractor_depth_guards():
     with pytest.raises(ValueError):
         attractor_points(0.5, 0)
