@@ -5,8 +5,11 @@ has entries sum_e d(e)^(-1/alpha) over parallel edges i -> j.  Its spectral
 radius is strictly increasing in alpha, which makes bisection on the two
 dimension equations (radius at 1/s equal to 1, and radius at alpha/delta
 equal to 1) well posed.  Radii come from power iteration on the matrix plus
-the identity; the shift makes irreducible nonnegative matrices primitive, so
-periodicity cannot stall the iteration.
+its largest row sum times the identity; the shift makes irreducible
+nonnegative matrices primitive, so periodicity cannot stall the iteration.
+The exponent solver starts each iteration at the dense eigensolver's Perron
+vector, so it usually stops after one step on the same Collatz-Wielandt
+certificate as an iteration from the all-ones vector.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ class SpectralResult:
 _DECAYED = float(np.finfo(float).eps)  # entries of the sup-normalized x below this are dropped
 
 
-def spectral_radius(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 10**5) -> SpectralResult:
+def spectral_radius(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 10**5,
+                    start: Optional[np.ndarray] = None) -> SpectralResult:
     """Dominant eigenvalue and positive eigenvector of a nonnegative matrix.
 
     Power iteration on the matrix plus a diagonal shift, with sup-norm
@@ -62,6 +66,9 @@ def spectral_radius(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 10**
     radius; the lower bound is then also taken for x with those entries
     zeroed (min over its support of (Az)_i / z_i still bounds the radius
     from below for any nonnegative z != 0), which lets the bounds meet.
+
+    The iteration starts at ``start`` (positive, rescaled to sup-norm 1) or
+    at the all-ones vector; any positive start gives the same certificate.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -69,12 +76,18 @@ def spectral_radius(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 10**
     if (a < 0).any():
         raise ValueError("matrix must be nonnegative")
     n = a.shape[0]
+    if start is None:
+        x = np.ones(n)
+    else:
+        x = np.asarray(start, dtype=float)
+        if x.shape != (n,) or not (np.isfinite(x) & (x > 0)).all():
+            raise ValueError(f"start must be a positive finite vector of length {n}")
+        x = x / float(x.max())
     shift = float(a.sum(axis=1).max())
     if shift == 0.0:
         return SpectralResult(radius=0.0, vector=np.ones(n), iterations=0)
     shifted = a + shift * np.eye(n)
     bound = tol * max(1.0, shift)
-    x = np.ones(n)
     upper = lower = float("nan")
     for it in range(1, max_iter + 1):
         y = shifted @ x
@@ -92,13 +105,35 @@ def spectral_radius(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 10**
                            f"{upper - shift:.15g})")
 
 
+def _perron_start(matrix: np.ndarray) -> np.ndarray:
+    """The dense eigensolver's Perron vector of a nonnegative matrix, as a
+    start for ``spectral_radius``.
+
+    Takes the eigenvector of the eigenvalue with the largest real part and
+    the absolute values of its real parts.  Falls back to all ones when the
+    eigensolver fails or the vector is not finite or has an entry below
+    ``_DECAYED`` times its largest, as on a reducible matrix.
+    """
+    ones = np.ones(matrix.shape[0])
+    try:
+        values, vectors = np.linalg.eig(matrix)
+    except np.linalg.LinAlgError:
+        return ones
+    v = np.abs(vectors[:, int(np.argmax(values.real))].real)
+    if not (np.isfinite(v).all() and v.min() > 0.0 and v.min() >= _DECAYED * v.max()):
+        return ones
+    return v
+
+
 def graph_spectral_radius(g: WeightedDigraph, alpha: float, tol: float = 1e-12) -> SpectralResult:
     """Spectral radius of the weight matrix at the given alpha.
 
     Requires an irreducible graph; the positive-eigenvector guarantees used
     downstream come from Perron theory and fail otherwise.  Validates the
-    graph on every call: loops over alpha should validate once and call
-    ``spectral_radius(weight_matrix(g, alpha))``, as ``solve_exponent`` does.
+    graph on every call and starts the power iteration at the all-ones
+    vector: loops over alpha should validate once and call
+    ``spectral_radius`` on ``weight_matrix(g, alpha)`` directly, as
+    ``solve_exponent`` does with a start at the dense Perron vector.
     """
     if not validate_graph(g).irreducible:
         raise ValueError("graph is not irreducible; spectral data undefined")
@@ -140,7 +175,8 @@ def solve_exponent(g: WeightedDigraph, mode: str = "conformal",
     The solver brackets by doubling and bisects, exploiting that the radius
     is strictly decreasing in the exponent, until the bracket is tol wide (tol
     finite and positive) or its ends are adjacent floats.  The graph is
-    validated once, here; the radius evaluations skip the check.
+    validated once, here; the radius evaluations skip the check and start
+    their power iteration at the dense Perron vector of the weight matrix.
     """
     if not 0.0 < tol < float("inf"):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -169,7 +205,8 @@ def solve_exponent(g: WeightedDigraph, mode: str = "conformal",
     def evaluate(s: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        r = spectral_radius(weight_matrix(g, 1.0 / s)).radius
+        a = weight_matrix(g, 1.0 / s)
+        r = spectral_radius(a, start=_perron_start(a)).radius
         if keep_trace:
             trace.append((scale * s, r))
         return r

@@ -26,6 +26,8 @@ from .core import (HALF, Lattice, LatticePoint, OrbPoint, RatLike, _frac, check_
                    orb_point, postcritical_set)
 from .tiling import _canonical_placement, _closed, _Pullback
 
+_TOL = 1e-9  # default clearance of a curve from the postcritical set
+
 
 def horizontal_curve(height: RatLike, samples_per_side: int = 64) -> list[OrbPoint]:
     """The horizontal circle at the given height as a closed polyline.
@@ -63,32 +65,50 @@ def _nearest(scale: int, p: LatticePoint, q: LatticePoint) -> tuple[int, list[La
     return least, sorted(r for r, d in dist.items() if d == least)
 
 
+def _up_to_half_turn(scale: int, p: LatticePoint,
+                     reps: list[LatticePoint]) -> list[LatticePoint]:
+    """The representatives, one per orbit of the half-turn r -> 2p - r when p
+    is a cone point (2p on the lattice): that half-turn fixes p, so it maps
+    a geodesic from p to another lift of the same orbifold geodesic."""
+    if 2 * p[0] % scale or 2 * p[1] % scale:
+        return reps
+    turned = [(2 * p[0] - x, 2 * p[1] - y) for x, y in reps]
+    return [r for r, t in zip(reps, turned) if r <= t or t not in reps]
+
+
 def _on_segment(r: LatticePoint, p: LatticePoint, q: LatticePoint) -> bool:
     (dx, dy), (rx, ry) = (q[0] - p[0], q[1] - p[1]), (r[0] - p[0], r[1] - p[1])
     return dx * ry == dy * rx and 0 <= dx * rx + dy * ry <= dx * dx + dy * dy
 
 
-def curve_preimage(a: RatLike, curve: Sequence[OrbPoint], tol: float = 1e-9) -> list[LiftedCurve]:
+def curve_preimage(a: RatLike, curve: Sequence[OrbPoint], tol: float = _TOL) -> list[LiftedCurve]:
     """All connected preimage curves of a closed polyline, with degrees.
 
     Edge k runs from vertex k to the nearest representative of vertex k + 1
-    (a tie is ambiguous).  The vertices must stay tol-clear of the
+    (a tie is ambiguous, unless a half-turn about vertex k, a cone point,
+    swaps the tied representatives).  The vertices must stay tol-clear of the
     postcritical set and the edges must miss it, so every fiber on the curve
     is simple.  The lifted pieces of each edge join those of the next at
     their shared endpoints.  A lift's degree is the number of preimages of
     ``curve[0]`` it holds, and lifts are ordered by the least of them.
     """
     a = check_parameter(a)
+    return _lift(a, curve, postcritical_set(a), tol)
+
+
+def _lift(a: Fraction, curve: Sequence[OrbPoint], postcritical: Sequence[OrbPoint],
+          tol: float) -> list[LiftedCurve]:
+    """``curve_preimage`` for a checked parameter and its postcritical set."""
     if len(curve) < 3:
         raise ValueError("need a closed polyline with at least 3 vertices")
     base = Lattice(a, math.lcm(2 * a.denominator, *(c.denominator for p in curve
                                                      for c in (p.x, p.y))), "a curve")
     verts = [base.canonical(base.numerator(p.x), base.numerator(p.y)) for p in curve]
-    pcs = [(base.numerator(c.x), base.numerator(c.y)) for c in postcritical_set(a)]
+    pcs = [(base.numerator(c.x), base.numerator(c.y)) for c in postcritical]
     clearance, edges = Fraction(tol) ** 2 * base.scale ** 2, []
     for k, (p, q) in enumerate(_closed(verts)):
         name = f"edge {k} from {base.point(*p)} to {base.point(*q)}"
-        ends = _nearest(base.scale, p, q)[1]
+        ends = _up_to_half_turn(base.scale, p, _nearest(base.scale, p, q)[1])
         for c in pcs:
             # a point on a shortest geodesic from p lies there at a nearest representative
             least, near = _nearest(base.scale, p, c)
@@ -197,8 +217,8 @@ def obstruction_report(a: RatLike, height: RatLike = Fraction(1, 4)) -> Obstruct
     and assemble its matrix."""
     a = check_parameter(a)
     height = _frac(height)
-    lifts = curve_preimage(a, horizontal_curve(height, 2))
     pcs = postcritical_set(a)
+    lifts = _lift(a, horizontal_curve(height, 2), pcs, _TOL)
     isotopic = tuple(is_horizontal(c.points) and horizontal_isotopic(c.heights()[0], height, pcs)
                      for c in lifts)
     report = thurston_matrix(1, [[(0 if iso else None, c.degree)

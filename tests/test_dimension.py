@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cxcdyn.dimension
 from cxcdyn.dimension import (graph_spectral_radius, perron_vector, solve_exponent,
@@ -46,20 +47,90 @@ def test_radius_agrees_with_dense_eigensolver():
 def test_radius_of_reducible_matrix(matrix):
     # the Collatz-Wielandt bounds of a positive vector do not meet here; the
     # lower bound over the non-decayed support does
-    reference = max(abs(np.linalg.eigvals(np.array(matrix))))
-    assert spectral_radius(np.array(matrix)).radius == pytest.approx(reference, abs=1e-12)
+    matrix = np.array(matrix)
+    reference = max(abs(np.linalg.eigvals(matrix)))
+    assert spectral_radius(matrix).radius == pytest.approx(reference, abs=1e-12)
+    # the dense Perron vector has a zero entry, so the seeded start is all ones
+    start = cxcdyn.dimension._perron_start(matrix)
+    assert (start == 1.0).all()
+    seeded, ones = spectral_radius(matrix, start=start), spectral_radius(matrix)
+    assert (seeded.radius, seeded.iterations) == (ones.radius, ones.iterations)
+    assert (seeded.vector == ones.vector).all()
+
+
+@pytest.mark.parametrize("start", [np.ones(3), np.ones((2, 2)), [1.0, 0.0], [1.0, -0.5],
+                                   [1.0, float("nan")], [1.0, float("inf")]])
+def test_radius_rejects_a_bad_start(start):
+    with pytest.raises(ValueError, match="start must be a positive finite vector of length 2"):
+        spectral_radius(np.array([[0.5, 0.5], [0.25, 0.75]]), start=start)
+
+
+# rows 1 and 2 tie for the largest row sum and row 2 points only at row 1,
+# so successive sup-norm estimates agree after one step, far from the radius
+_TIED_ROWS = make_graph(3, [(1, 3, 4), (1, 3, 5), (2, 1, 4), (2, 1, 4), (3, 2, 4), (3, 2, 4)])
 
 
 def test_radius_with_tied_row_sums():
-    # rows 1 and 2 tie for the largest row sum and row 2 points only at row 1,
-    # so successive sup-norm estimates agree after one step, far from the radius
-    g = make_graph(3, [(1, 3, 4), (1, 3, 5), (2, 1, 4), (2, 1, 4), (3, 2, 4), (3, 2, 4)])
+    g = _TIED_ROWS
     matrix = weight_matrix(g, 2.0)
     reference = max(abs(np.linalg.eigvals(matrix)))
     assert spectral_radius(matrix).radius == pytest.approx(reference, abs=1e-11)
     s = solve_exponent(g, "conformal").exponent
     assert s == pytest.approx(0.487283, abs=1e-6)
     assert max(abs(np.linalg.eigvals(weight_matrix(g, 1.0 / s)))) == pytest.approx(1.0, abs=1e-8)
+
+
+_FOUR_VERTICES = make_graph(4, [(1, 2, 3), (1, 2, 4), (2, 3, 3), (2, 3, 5), (3, 4, 4), (3, 4, 4),
+                                (4, 1, 3), (4, 1, 5), (1, 3, 5), (1, 3, 5), (2, 4, 3), (2, 4, 4)])
+
+
+@pytest.mark.parametrize("g", [_TIED_ROWS, _FOUR_VERTICES], ids=["tied-rows", "four-vertices"])
+def test_seeded_evaluations_stop_within_two_steps(monkeypatch, g):
+    iterations = []
+
+    def counting(matrix, **kwargs):
+        result = spectral_radius(matrix, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(cxcdyn.dimension, "spectral_radius", counting)
+    result = solve_exponent(g, "conformal")
+    assert len(iterations) == result.evaluations
+    assert max(iterations) <= 2
+
+
+def _all_ones(matrix):
+    return np.ones(matrix.shape[0])
+
+
+@st.composite
+def admissible_graphs(draw):
+    """Irreducible graphs on 1-4 vertices that pass No Levy Cycle: a spanning
+    cycle plus up to four more arcs, each arc carrying two edges of degree
+    2-5.  At most ten edges of degree >= 2 leave a vertex, so the radius at
+    alpha 1/4 is below 1 and the hausdorff solve there has delta < 1."""
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(1, n)
+    arcs = [(v, v % n + 1) for v in range(1, n + 1)]
+    arcs += draw(st.lists(st.tuples(vertex, vertex), max_size=4))
+    return make_graph(n, [(i, j, draw(st.integers(2, 5))) for i, j in arcs for _ in range(2)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_graphs(), st.sampled_from([("conformal", None), ("hausdorff", 0.25)]))
+def test_seeded_solve_matches_the_all_ones_oracle(g, case):
+    """The dense Perron start moves the exponent by at most tol from the
+    all-ones iteration, and at the narrowest bracket it solves rho = 1 to
+    the float spacing."""
+    mode, alpha = case
+    seeded = solve_exponent(g, mode, alpha=alpha)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cxcdyn.dimension, "_perron_start", _all_ones)
+        oracle = solve_exponent(g, mode, alpha=alpha)
+    assert abs(seeded.exponent - oracle.exponent) <= seeded.tolerance
+    fine = solve_exponent(g, mode, alpha=alpha, tol=1e-300).exponent
+    rho = max(abs(np.linalg.eigvals(weight_matrix(g, (alpha or 1.0) / fine))))
+    assert rho == pytest.approx(1.0, abs=1e-12)
 
 
 def test_radius_rejects_reducible():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cxcdyn.pillowcase.curves
 import oracles
 from cxcdyn.pillowcase import (LatticeError, curve_preimage, horizontal_curve,
                                horizontal_isotopic, is_horizontal, obstruction_report,
@@ -51,6 +52,16 @@ def assert_on_polyline(points, polyline):
     for p, candidates in zip(points, near):
         assert any(on_segment((s * p.x + m, s * p.y + n), *edges[j])
                    for i, j in zip(*np.nonzero(candidates)) for s, m, n in [_MOVES[i]]), p
+
+
+def refined(points, k):
+    """The closed polyline with each edge cut into k equal steps along its
+    first shortest geodesic."""
+    out = []
+    for u, v in zip(points, points[1:] + points[:1]):
+        (ux, uy), (wx, wy) = geodesic_edges([u, v])[0]
+        out += [orb_point(ux + (wx - ux) * F(j, k), uy + (wy - uy) * F(j, k)) for j in range(k)]
+    return out
 
 
 def assert_matches_oracle(exact, oracle):
@@ -132,6 +143,19 @@ def test_too_coarse_curve_raises(eighth):
               orb_point(F(1, 4), F(-1, 4))]
     with pytest.raises(ValueError, match="edge 0 .* 2 shortest geodesics"):
         curve_preimage(eighth, coarse)
+
+
+@pytest.mark.parametrize("a", [F(1, 64), F(3, 40), F(1, 8)])
+def test_edge_from_a_cone_point(a):
+    """From the cone point (1/2, 1/2), not postcritical for a > 0, the next
+    vertex has two nearest representatives, swapped by the half-turn about
+    the cone point: they give one geodesic, and the lift proceeds."""
+    curve = [orb_point(F(1, 2), F(1, 2)), orb_point(F(1, 4), F(3, 8)),
+             orb_point(F(1, 5), F(-1, 3))]
+    exact = curve_preimage(a, curve)
+    assert sum(c.degree for c in exact) == 4
+    assert_on_polyline([pillow_map(a, p) for c in exact for p in c.points], curve)
+    assert_matches_oracle(exact, oracles.continuation_preimage(a, refined(curve, 64)))
 
 
 def test_heights_must_be_exact():
@@ -229,3 +253,15 @@ def test_obstruction_report(eighth):
     assert report.matrix == pytest.approx(np.array([[1.0]]))
     assert report.obstructed
     assert sorted(h[0] for h in report.lift_heights) == [F(1, 8), F(3, 8)]
+
+
+def test_obstruction_report_computes_the_postcritical_set_once(monkeypatch, eighth):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return postcritical_set(a)
+
+    monkeypatch.setattr(cxcdyn.pillowcase.curves, "postcritical_set", counting)
+    obstruction_report(eighth)
+    assert calls == [eighth]
