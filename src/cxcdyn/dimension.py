@@ -7,9 +7,11 @@ dimension equations (radius at 1/s equal to 1, and radius at alpha/delta
 equal to 1) well posed.  Radii come from power iteration on the matrix plus
 its largest row sum times the identity; the shift makes irreducible
 nonnegative matrices primitive, so periodicity cannot stall the iteration.
-The exponent solver starts each iteration at the dense eigensolver's Perron
-vector, so it usually stops after one step on the same Collatz-Wielandt
-certificate as an iteration from the all-ones vector.
+On graphs of at most ``_DENSE_START_MAX`` vertices the exponent solver
+starts each iteration at the dense eigensolver's Perron vector, so it usually
+stops after one step on the same Collatz-Wielandt certificate as an
+iteration from the all-ones vector; larger graphs start at all ones, since
+the O(n^3) eigensolver soon costs more than the power steps it saves.
 """
 
 from __future__ import annotations
@@ -105,6 +107,16 @@ def spectral_radius(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 10**
                            f"{upper - shift:.15g})")
 
 
+# Largest vertex count whose radius evaluations start at the dense Perron
+# vector.  One eig costs 70 us at 16 vertices, 330 us at 32 and 12 ms at 128,
+# against 25-45 us for a power-iteration call of one step (numpy with
+# OpenBLAS, 2-vCPU Xeon); from the all-ones start an evaluation takes 28
+# steps on perfbench's spectral graphs and 60-210 on random 8-256-vertex ones.
+# On equal row sums the all-ones start is exact and one step suffices, so the
+# eig is pure overhead: it makes the doubled K16's solve a quarter slower.
+_DENSE_START_MAX = 16
+
+
 def _perron_start(matrix: np.ndarray) -> np.ndarray:
     """The dense eigensolver's Perron vector of a nonnegative matrix, as a
     start for ``spectral_radius``.
@@ -133,7 +145,8 @@ def graph_spectral_radius(g: WeightedDigraph, alpha: float, tol: float = 1e-12) 
     graph on every call and starts the power iteration at the all-ones
     vector: loops over alpha should validate once and call
     ``spectral_radius`` on ``weight_matrix(g, alpha)`` directly, as
-    ``solve_exponent`` does with a start at the dense Perron vector.
+    ``solve_exponent`` does (on small graphs with a start at the dense
+    Perron vector).
     """
     if not validate_graph(g).irreducible:
         raise ValueError("graph is not irreducible; spectral data undefined")
@@ -175,8 +188,9 @@ def solve_exponent(g: WeightedDigraph, mode: str = "conformal",
     The solver brackets by doubling and bisects, exploiting that the radius
     is strictly decreasing in the exponent, until the bracket is tol wide (tol
     finite and positive) or its ends are adjacent floats.  The graph is
-    validated once, here; the radius evaluations skip the check and start
-    their power iteration at the dense Perron vector of the weight matrix.
+    validated once, here; the radius evaluations skip the check.  On graphs
+    of at most ``_DENSE_START_MAX`` vertices their power iteration starts at
+    the dense Perron vector of the weight matrix, on larger ones at all ones.
     """
     if not 0.0 < tol < float("inf"):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -201,12 +215,13 @@ def solve_exponent(g: WeightedDigraph, mode: str = "conformal",
 
     trace: list[tuple[float, float]] = []
     evaluations = 0
+    dense_start = g.vertex_count <= _DENSE_START_MAX
 
     def evaluate(s: float) -> float:
         nonlocal evaluations
         evaluations += 1
         a = weight_matrix(g, 1.0 / s)
-        r = spectral_radius(a, start=_perron_start(a)).radius
+        r = spectral_radius(a, start=_perron_start(a) if dense_start else None).radius
         if keep_trace:
             trace.append((scale * s, r))
         return r

@@ -99,6 +99,24 @@ def test_seeded_evaluations_stop_within_two_steps(monkeypatch, g):
     assert max(iterations) <= 2
 
 
+@pytest.mark.parametrize("n", [cxcdyn.dimension._DENSE_START_MAX,
+                               cxcdyn.dimension._DENSE_START_MAX + 1])
+def test_dense_start_only_on_small_graphs(monkeypatch, n):
+    # an n-cycle of doubled degree-3 arcs: radius 2 * 3^-s, so s = log 2 / log 3
+    g = make_graph(n, [(v, v % n + 1, 3) for v in range(1, n + 1) for _ in range(2)])
+    starts = []
+
+    def counting(matrix):
+        starts.append(matrix.shape)
+        return _all_ones(matrix)
+
+    monkeypatch.setattr(cxcdyn.dimension, "_perron_start", counting)
+    result = solve_exponent(g, "conformal")
+    assert result.exponent == pytest.approx(math.log(2) / math.log(3), abs=1e-9)
+    small = n <= cxcdyn.dimension._DENSE_START_MAX
+    assert len(starts) == (result.evaluations if small else 0)
+
+
 def _all_ones(matrix):
     return np.ones(matrix.shape[0])
 
