@@ -252,8 +252,10 @@ def _cmd_menger(args) -> int:
 
 
 def _cmd_pillow(args) -> int:
+    if args.samples is not None and args.action != "diff":
+        raise ValueError(f"pillow {args.action} is exact and takes no --samples")
     if args.action == "subdivide":
-        tiling = subdivide(args.a, args.depth, invariance_samples=args.samples)
+        tiling = subdivide(args.a, args.depth)
         if args.out:
             _write(args.out, render.tiling_svg(tiling))
         _emit({"a": args.a, "depth": args.depth, "tiles": tiling.tile_count,
@@ -265,8 +267,6 @@ def _cmd_pillow(args) -> int:
                "points": [[p.x, p.y] for p in points]})
         return 0
     if args.action == "obstruct":
-        if args.samples is not None:
-            raise ValueError("obstruct lifts the curve exactly and takes no --samples")
         report = obstruction_report(args.a)
         _emit({"a": args.a, "heights": [list(h) for h in report.lift_heights],
                "degrees": list(report.degrees), "isotopic": list(report.isotopic),
@@ -274,7 +274,8 @@ def _cmd_pillow(args) -> int:
                "obstructed": report.obstructed})
         return 0
     if args.action == "diff":
-        report = differential_report(args.a, samples=args.samples, seed=args.seed)
+        samples = {} if args.samples is None else {"samples": args.samples}
+        report = differential_report(args.a, seed=args.seed, **samples)
         _emit({"a": args.a,
                "pieces": [{"name": p.name, "singular_values": list(p.singular_values)}
                           for p in report.pieces],
@@ -292,8 +293,7 @@ def _cmd_pillow(args) -> int:
                "degree_sum": sum(d for _, d in fiber)})
         return 0
     if args.action == "invariance":
-        ok = skeleton_forward_invariance(args.a, samples=args.samples)
-        _emit({"a": args.a, "samples": args.samples, "forward_invariant": ok})
+        _emit({"a": args.a, "forward_invariant": skeleton_forward_invariance(args.a)})
         return 0
     raise ValueError(f"unknown pillow action {args.action}")
 
@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "preimages", "invariance"])
     p.add_argument("--a", type=_fraction, required=True)
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=int, default=None, help="diff only (default 10^4)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--point", type=_point, default=None,
                    help="point as 'x,y'; join a negative x with '=', as in --point=-1/4,1/3")
@@ -478,8 +478,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         if all(getattr(args, dest) is None for dest in dests):
             parser.error(f"{args.command} {action}: the following arguments are "
                          f"required: {flag}")
-    if getattr(args, "samples", None) is None and getattr(args, "command", "") == "pillow":
-        args.samples = {"subdivide": 256, "diff": 10**4, "invariance": 10**4}.get(args.action)
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError, OverflowError) as error:

@@ -432,24 +432,23 @@ class TentOrbit:
         return frozenset(self.orbit)
 
 
-def tent_orbit(a: RatLike, limit: int = 4096) -> TentOrbit:
-    """Exact orbit with cycle detection; rationals always close up because
-    the map doubles numerators modulo a fixed denominator."""
+def tent_orbit(a: RatLike) -> TentOrbit:
+    """Exact orbit with cycle detection.  The orbit of p/q stays in
+    (1/q)Z meet [0, 1/2], so it holds at most floor(q/2) + 1 values and the
+    walk closes up after at most that many steps."""
     a = _frac(a)
     if not (0 <= a <= HALF):
         raise ValueError("tent orbit needs a in [0, 1/2]")
     seen: dict[Fraction, int] = {}
     orbit: list[Fraction] = []
     x = a
-    for step in range(limit):
-        if x in seen:
-            first = seen[x]
-            return TentOrbit(start=a, orbit=tuple(orbit), preperiod=first,
-                             period=step - first, pcf=True)
-        seen[x] = step
+    while x not in seen:
+        seen[x] = len(orbit)
         orbit.append(x)
         x = tent(x)
-    raise RuntimeError(f"no cycle within {limit} steps; raise the limit")
+    first = seen[x]
+    return TentOrbit(start=a, orbit=tuple(orbit), preperiod=first,
+                     period=len(orbit) - first, pcf=True)
 
 
 # ---------------------------------------------------------------------------
@@ -461,35 +460,37 @@ def critical_values(a: RatLike) -> list[OrbPoint]:
     return sorted({_pillow_map(a, c) for c in CRITICAL_POINTS})
 
 
-def _forward_closure(a: Fraction, seeds: Iterable[OrbPoint], limit: int = 4096) -> set[OrbPoint]:
+def _forward_closure(a: Fraction, seeds: Iterable[OrbPoint],
+                     within: set[OrbPoint]) -> set[OrbPoint]:
+    """The forward orbits of the seeds while they stay in the finite set
+    ``within``; the first point outside it is kept and ends the walk."""
     closure: set[OrbPoint] = set()
     frontier = list(seeds)
-    steps = 0
     while frontier:
         p = frontier.pop()
         if p in closure:
             continue
         closure.add(p)
+        if p not in within:
+            break
         frontier.append(_pillow_map(a, p))
-        steps += 1
-        if steps > limit:
-            raise RuntimeError("forward closure did not saturate; raise the limit")
     return closure
 
 
-def postcritical_set(a: RatLike, limit: int = 4096) -> list[OrbPoint]:
+def postcritical_set(a: RatLike) -> list[OrbPoint]:
     """The forward orbits of the critical values, computed two ways.
 
     Route one is the closed formula: three fixed boundary points, the moved
     cone point, and the tent orbit of the parameter along the bottom edge.
-    Route two iterates the actual map on the images of the branch points.
+    Route two iterates the actual map on the images of the branch points,
+    inside the formula set until an orbit leaves it.
     A mismatch is an internal consistency error, never silently accepted.
     """
     a = check_parameter(a)
     formula = {orb_point(0, 0), orb_point(HALF, 0), orb_point(0, HALF),
                orb_point((1 - a) / 2, HALF)}
-    formula |= {orb_point(t, 0) for t in tent_orbit(a, limit=limit).orbit_set}
-    dynamical = _forward_closure(a, critical_values(a), limit=limit)
+    formula |= {orb_point(t, 0) for t in tent_orbit(a).orbit_set}
+    dynamical = _forward_closure(a, critical_values(a), formula)
     if formula != dynamical:
         raise RuntimeError("postcritical cross-check failed: formula "
                            f"{sorted(formula)} vs orbits {sorted(dynamical)}")

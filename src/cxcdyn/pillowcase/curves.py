@@ -29,8 +29,9 @@ from .tiling import _canonical_placement, _closed, _Pullback
 _TOL = 1e-9  # default clearance of a curve from the postcritical set
 
 
-def horizontal_curve(height: RatLike, samples_per_side: int = 64) -> list[OrbPoint]:
-    """The horizontal circle at the given height as a closed polyline.
+def horizontal_curve(height: RatLike) -> list[OrbPoint]:
+    """The horizontal circle at the given height as the closed four-vertex
+    polyline (0, h), (1/4, h), (1/2, h), (1/4, -h).
 
     It runs along y = h from x = 0 to 1/2 and returns along y = -h; the two
     rows are glued through the side edges, so the list is cyclic (the last
@@ -39,11 +40,8 @@ def horizontal_curve(height: RatLike, samples_per_side: int = 64) -> list[OrbPoi
     h = _frac(height)
     if not (0 < h < HALF):
         raise ValueError("height must lie strictly between 0 and 1/2")
-    s = samples_per_side
-    if s < 2:
-        raise ValueError(f"need at least 2 samples per side, got {s}")
-    return ([orb_point(Fraction(k, 2 * s), h) for k in range(s + 1)]
-            + [orb_point(Fraction(k, 2 * s), -h) for k in range(s - 1, 0, -1)])
+    quarter = Fraction(1, 4)
+    return [orb_point(0, h), orb_point(quarter, h), orb_point(HALF, h), orb_point(quarter, -h)]
 
 
 @dataclass(frozen=True)
@@ -218,7 +216,7 @@ def obstruction_report(a: RatLike, height: RatLike = Fraction(1, 4)) -> Obstruct
     a = check_parameter(a)
     height = _frac(height)
     pcs = postcritical_set(a)
-    lifts = _lift(a, horizontal_curve(height, 2), pcs, _TOL)
+    lifts = _lift(a, horizontal_curve(height), pcs, _TOL)
     isotopic = tuple(is_horizontal(c.points) and horizontal_isotopic(c.heights()[0], height, pcs)
                      for c in lifts)
     report = thurston_matrix(1, [[(0 if iso else None, c.degree)

@@ -1,9 +1,10 @@
 """Subdivision tilings: exact piecewise-linear pullback of the cell structure.
 
 The one-skeleton (the two horizontal edges plus the two side edges of the
-pillowcase) is forward invariant, so its iterated preimages subdivide the
-two faces into nested tilings with 2 * 4^depth tiles at each depth; the
-skeleton at level k is the edge set of the depth-k tiles.  A tile is pulled
+pillowcase) is forward invariant, as ``skeleton_forward_invariance`` decides
+exactly, so its iterated preimages subdivide the two faces into nested
+tilings with 2 * 4^depth tiles at each depth; the skeleton at level k is the
+edge set of the depth-k tiles.  A tile is pulled
 back through the inverse corner shuffle (``core.shuffle_atlas(a, inverse=True)``,
 which bends edges at six rational triangles) and the four inverse branches
 of doubling, each image placed in the fundamental rectangle wholesale.
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import (HALF, Lattice, LatticePoint, RatLike, _pillow_map, check_parameter,
-                   orb_point, point_in_triangle)
+from .core import (HALF, Lattice, LatticePoint, RatLike, _lattice_map, check_parameter,
+                   point_in_triangle)
 from .core import LatticeError  # noqa: F401  (re-exported: the pullback raises it)
 
 Point = tuple[Fraction, Fraction]
@@ -188,23 +189,22 @@ def base_skeleton() -> tuple[Segment, ...]:
             ((HALF, z), (HALF, HALF)))    # right side edge
 
 
-def skeleton_forward_invariance(a: RatLike, samples: int = 10**4) -> bool:
-    """Map ``samples`` rational points of the four edges, taken in turn, and
-    check their images stay on the skeleton (a coordinate in {0, 1/2}), exactly."""
+def skeleton_forward_invariance(a: RatLike) -> bool:
+    """Whether the map takes the skeleton into itself, decided exactly.
+
+    Doubling maps the skeleton onto its bottom and left edges, which the
+    corner squares (x, |y| >= 1/2 - a >= 3/8) never meet, so the map is
+    affine on each half of each edge.  A half-edge therefore stays on the
+    skeleton when its endpoints and midpoint land on one skeleton line."""
     a = check_parameter(a)
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    per_edge = max(2, -(-samples // 4))
-    on_skeleton = []
-    for k in range(per_edge):
-        t = Fraction(k, 2 * (per_edge - 1))  # runs over [0, 1/2]
-        on_skeleton += [orb_point(t, 0), orb_point(t, HALF),
-                        orb_point(0, t), orb_point(HALF, t)]
-    pinned = {Fraction(0), HALF}
-    for p in on_skeleton[:samples]:
-        q = _pillow_map(a, p)
-        if q.x not in pinned and q.y not in pinned:
-            return False
+    fmap = _lattice_map(a, 8 * a.denominator)
+    lines = [(axis, value) for axis in (0, 1) for value in (0, fmap.half)]
+    for edge in base_skeleton():
+        (px, py), (qx, qy) = [(fmap.numerator(x), fmap.numerator(y)) for x, y in edge]
+        images = [fmap(px + k * (qx - px) // 4, py + k * (qy - py) // 4) for k in range(5)]
+        for half in (images[:3], images[2:]):
+            if not any(all(q[axis] == value for q in half) for axis, value in lines):
+                return False
     return True
 
 
@@ -223,12 +223,13 @@ class Tiling:
         return sum((t.area() for t in self.cells), Fraction(0))
 
 
-def subdivide(a: RatLike, depth: int, invariance_samples: int = 256) -> Tiling:
+def subdivide(a: RatLike, depth: int) -> Tiling:
     """Pull the tiles back ``depth`` times; skeleton level k is the edge set of
     the depth-k tiles (level 0 keeps the order of ``base_skeleton``).
 
     Forward invariance of the skeleton is the precondition making the
-    pullback a subdivision; it is sampled exactly before any work happens.
+    pullback a subdivision; ``skeleton_forward_invariance`` decides it before
+    any work happens.
     Tile counts quadruple each level because the map is a degree-four cover
     unramified over the open faces (all critical values sit on the skeleton).
     The denominator den(a) 2^(2 depth + 2) is a checked assumption: depths 0-4
@@ -237,7 +238,7 @@ def subdivide(a: RatLike, depth: int, invariance_samples: int = 256) -> Tiling:
     a = check_parameter(a)
     if not (0 <= depth <= 8):
         raise ValueError("depth must lie in 0..8 (tile counts grow as 2 * 4^depth)")
-    if not skeleton_forward_invariance(a, samples=invariance_samples):
+    if not skeleton_forward_invariance(a):
         raise RuntimeError("skeleton is not forward invariant; pullback is not a subdivision")
     pullback = _Pullback(a, a.denominator << (2 * depth + 2), depth)
     fr = functools.cache(functools.partial(Fraction, denominator=pullback.scale))

@@ -21,7 +21,12 @@ oracle of its preallocated build.
 
 Closed curves lift exactly, through the tile pullback; the continuation
 lifter it replaced (``continuation_preimage``), which samples the curve and
-matches consecutive fibers by proximity, is kept here as their oracle.
+matches consecutive fibers by proximity, is kept here as their oracle, with
+the dense horizontal circles it needs (``horizontal_polyline``).
+
+The skeleton's forward invariance is decided exactly on its eight half-edges;
+the check it replaced, which maps evenly spaced points of the four edges
+(``sampled_skeleton_invariance``), is its oracle.
 """
 
 import itertools
@@ -33,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from cxcdyn.gdms import Cylinder, GDMSPoint, base_cylinder
-from cxcdyn.pillowcase import LiftedCurve, postcritical_set, preimages
+from cxcdyn.pillowcase import LiftedCurve, pillow_map, postcritical_set, preimages
 from cxcdyn.pillowcase.core import (HALF, AffineRegion, OrbPoint, RatLike, check_parameter,
                                     doubling, mat, mat_vec, orb_point, point_in_triangle,
                                     shuffle_atlas)
@@ -119,6 +124,20 @@ def fraction_preimages(a, p):
     return sorted(Counter(orb_point(*q) for (q,) in halvings(((v.x, v.y),))).items())
 
 
+def sampled_skeleton_invariance(a, samples=10**4):
+    """Map ``samples`` points of the four skeleton edges, evenly spaced and
+    taken in turn, with the package's ``pillow_map``, and check that each
+    image keeps a coordinate in {0, 1/2}."""
+    per_edge = max(2, -(-samples // 4))
+    on_skeleton = []
+    for k in range(per_edge):
+        t = Fraction(k, 2 * (per_edge - 1))  # runs over [0, 1/2]
+        on_skeleton += [orb_point(t, 0), orb_point(t, HALF), orb_point(0, t), orb_point(HALF, t)]
+    pinned = {Fraction(0), HALF}
+    return all(q.x in pinned or q.y in pinned
+               for q in (pillow_map(a, p) for p in on_skeleton[:samples]))
+
+
 class ContinuationError(RuntimeError):
     """Fiber matching became ambiguous; the curve needs finer sampling."""
 
@@ -177,6 +196,15 @@ def continuation_preimage(a: RatLike, curve: Sequence[OrbPoint], tol: float = 1e
     if sum(c.degree for c in lifts) != 4:
         raise RuntimeError("covering degrees of the lifts do not sum to 4")
     return lifts
+
+
+def horizontal_polyline(height, samples_per_side):
+    """The horizontal circle at ``height`` as a closed polyline with
+    ``samples_per_side`` edges along each row, as dense as the continuation
+    lifter needs."""
+    s = samples_per_side
+    return ([orb_point(Fraction(k, 2 * s), height) for k in range(s + 1)]
+            + [orb_point(Fraction(k, 2 * s), -height) for k in range(s - 1, 0, -1)])
 
 
 def fraction_cell_of(grid, p):

@@ -293,8 +293,7 @@ def test_menger_slice_pgm(capsys, tmp_path):
 
 
 def test_pillow_invariance(capsys):
-    code, out, _ = run(capsys, ["pillow", "invariance", "--a", "1/8",
-                                "--samples", "2000"])
+    code, out, _ = run(capsys, ["pillow", "invariance", "--a", "1/8"])
     assert code == 0 and json.loads(out)["forward_invariant"]
 
 
@@ -394,23 +393,6 @@ def test_missing_action_argument_exits_two(capsys, graph_file, argv, flag):
     assert flag in captured.err and captured.out == ""
 
 
-def test_pillow_subdivide_passes_samples(capsys, monkeypatch):
-    import cxcdyn.pillowcase.tiling as tiling
-    seen = []
-    real = tiling.skeleton_forward_invariance
-
-    def recording(a, samples=10**4):
-        seen.append(samples)
-        return real(a, samples=samples)
-
-    monkeypatch.setattr(tiling, "skeleton_forward_invariance", recording)
-    code, _, _ = run(capsys, ["pillow", "subdivide", "--a", "1/8", "--depth", "1",
-                              "--samples", "40"])
-    assert code == 0 and seen == [40]
-    run(capsys, ["pillow", "subdivide", "--a", "1/8", "--depth", "1"])
-    assert seen == [40, 256]
-
-
 @pytest.mark.parametrize("argv", [
     ["pillow", "pcs", "--a", "1/0"],
     ["menger", "member", "--point", "1/0,0,0"],
@@ -450,6 +432,8 @@ def test_zero_denominator_is_a_usage_error(capsys, graph_file, argv):
     (["pillow", "subdivide", "--a", "1/8", "--depth", "1", "--samples", "-3", "--out", "OUT"],
      "samples"),
     (["pillow", "obstruct", "--a", "1/8", "--samples", "64"], "--samples"),
+    (["pillow", "pcs", "--a", "1/8", "--samples", "5"], "--samples"),
+    (["pillow", "preimages", "--a", "1/8", "--point", "1/4,0", "--samples", "5"], "--samples"),
 ])
 def test_malformed_point_or_grid_exits_one(capsys, tmp_path, argv, message):
     out_path = tmp_path / "unused.pgm"
@@ -550,14 +534,16 @@ _PILLOW_POINT = st.one_of(
 @given(action=st.sampled_from(["subdivide", "pcs", "obstruct", "diff", "preimages",
                                "invariance"]),
        a=_PARAMETER, depth=st.integers(0, 2),
-       samples=st.one_of(st.integers(1, 64), st.integers(-3, 64)),
+       samples=st.one_of(st.none(), st.integers(1, 64), st.integers(-3, 64)),
        point=st.one_of(st.none(), _PILLOW_POINT))
 def test_pillow_cli_fuzz(action, a, depth, samples, point):
     """Every `pillow` invocation ends in exit 0, 1 or 2, never in a traceback.
     Depth and samples stay small, so a run over 5 s means an unbounded loop."""
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["pillow", action, f"--a={a}", f"--depth={depth}", f"--samples={samples}",
+        argv = ["pillow", action, f"--a={a}", f"--depth={depth}",
                 f"--out={os.path.join(tmp, 'tiling.svg')}"]
+        if samples is not None:
+            argv.append(f"--samples={samples}")
         if point is not None:
             argv.append(f"--point={','.join(point)}")
         assert_ends_cleanly(argv)

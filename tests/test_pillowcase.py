@@ -249,8 +249,10 @@ def test_tent_orbits():
 @settings(max_examples=120, deadline=None)
 @given(st.fractions(min_value=0, max_value=F(1, 2), max_denominator=400))
 def test_tent_orbit_always_closes_for_rationals(a):
-    orbit = tent_orbit(a, limit=2000)
+    orbit = tent_orbit(a)
     assert orbit.pcf
+    # the orbit stays in (1/q)Z meet [0, 1/2]
+    assert len(orbit.orbit) <= a.denominator // 2 + 1
     assert all(0 <= x <= F(1, 2) for x in orbit.orbit)
     # doubling modulo 1 keeps the denominator bounded by the start's
     assert all(x.denominator <= a.denominator for x in orbit.orbit)
@@ -262,6 +264,30 @@ def test_postcritical_sets(eighth):
                 orb_point(F(7, 16), F(1, 2)), orb_point(eighth, 0), orb_point(F(1, 4), 0)}
     assert set(postcritical_set(eighth)) == expected
     assert len(postcritical_set(eighth)) == 6  # the tent orbit re-hits (1/2, 0): dedup
+
+
+def test_postcritical_set_of_a_large_denominator():
+    """The tent orbit of 1/10007 has 5003 values, past any fixed step cap."""
+    assert len(postcritical_set(F(1, 10007))) == 5007
+
+
+def test_postcritical_cross_check_stops_at_the_first_stray_point(monkeypatch, eighth):
+    """A map whose orbit leaves the formula set, on a path that never repeats,
+    fails the cross-check at its first point off the set, which is not mapped."""
+    real, stray = core._pillow_map, F(1, 5)
+    mapped = []
+
+    def leaking(a, p):
+        mapped.append(p)
+        if p.y == stray:
+            return orb_point(p.x / 2, stray)
+        q = real(a, p)
+        return orb_point(F(1, 3), stray) if q == orb_point(0, 0) else q
+
+    monkeypatch.setattr(core, "_pillow_map", leaking)
+    with pytest.raises(RuntimeError, match="cross-check"):
+        postcritical_set(eighth)
+    assert mapped and not any(p.y == stray for p in mapped)
 
 
 def test_critical_values(eighth):
@@ -342,9 +368,9 @@ def test_parameter_is_validated_once_per_call(monkeypatch):
         calls.clear()
         differential_report(F(1, 8), samples=samples)
         assert len(calls) == 1
-        calls.clear()
-        skeleton_forward_invariance(F(1, 8), samples=samples)
-        assert len(calls) == 1
+    calls.clear()
+    skeleton_forward_invariance(F(1, 8))
+    assert len(calls) == 1
     calls.clear()
     family_deviation(F(1, 8), F(1, 64), grid=6)
     assert len(calls) == 2

@@ -75,21 +75,15 @@ def assert_matches_oracle(exact, oracle):
             assert mine.heights() == theirs.heights()
 
 
-@pytest.mark.parametrize("samples", [-2, 0, 1])
-def test_horizontal_curve_needs_two_samples_per_side(samples):
-    with pytest.raises(ValueError, match="2 samples per side"):
-        horizontal_curve(F(1, 4), samples_per_side=samples)
-
-
 def test_horizontal_curve_shape():
-    curve = horizontal_curve(F(1, 4), samples_per_side=8)
-    assert len(curve) == 16
-    assert {abs(p.y) for p in curve} == {F(1, 4)}
+    h = F(1, 4)
+    assert horizontal_curve(h) == [orb_point(0, h), orb_point(F(1, 4), h),
+                                   orb_point(F(1, 2), h), orb_point(F(1, 4), -h)]
 
 
 def test_curve_preimage_heights_and_degrees(eighth):
     for a in (F(0), F(1, 64), eighth):
-        lifts = curve_preimage(a, horizontal_curve(F(1, 4), 64))
+        lifts = curve_preimage(a, oracles.horizontal_polyline(F(1, 4), 64))
         assert sorted(c.heights()[0] for c in lifts) == [F(1, 8), F(3, 8)]
         assert [c.degree for c in lifts] == [2, 2]
         for c in lifts:
@@ -115,14 +109,14 @@ def test_self_crossing_and_repeated_vertices(eighth):
     lifts = curve_preimage(eighth, bow)
     assert [c.degree for c in lifts] == [1, 1, 1, 1]
     assert_on_polyline([pillow_map(eighth, p) for c in lifts for p in c.points], bow)
-    circle = horizontal_curve(F(1, 4), 2)
+    circle = horizontal_curve(F(1, 4))
     stutter = circle[:2] + circle[1:]
     assert ([(c.degree, c.heights()) for c in curve_preimage(eighth, stutter)]
             == [(c.degree, c.heights()) for c in curve_preimage(eighth, circle)])
 
 
 def test_curve_through_postcritical_set_rejected(eighth):
-    bad = horizontal_curve(F(1, 2) - F(1, 1000), 16)  # hugs the top edge
+    bad = oracles.horizontal_polyline(F(1, 2) - F(1, 1000), 16)  # hugs the top edge
     with pytest.raises(ValueError, match="postcritical"):
         curve_preimage(eighth, bad, tol=0.01)
     through = [orb_point(F(1, 8), 0), orb_point(F(1, 4), F(1, 8)),
@@ -179,10 +173,10 @@ def test_lifts_match_the_continuation_oracle(a, height):
     """The four-vertex circle lifts exactly as the 64-sample continuation
     lifter finds it, wherever that lifter succeeds."""
     try:
-        oracle = oracles.continuation_preimage(a, horizontal_curve(height, 64))
+        oracle = oracles.continuation_preimage(a, oracles.horizontal_polyline(height, 64))
     except oracles.ContinuationError:
         oracle = None
-    exact = curve_preimage(a, horizontal_curve(height, 2))
+    exact = curve_preimage(a, horizontal_curve(height))
     assert sum(c.degree for c in exact) == 4
     if oracle is not None:
         assert_matches_oracle(exact, oracle)
@@ -195,10 +189,11 @@ def test_corner_crossing_heights(a, height, refused):
     Continuation refuses at ``refused`` samples per side; the exact lift of
     the four-vertex circle agrees with it at 64."""
     with pytest.raises(oracles.ContinuationError):
-        oracles.continuation_preimage(a, horizontal_curve(height, refused))
-    exact = curve_preimage(a, horizontal_curve(height, 2))
+        oracles.continuation_preimage(a, oracles.horizontal_polyline(height, refused))
+    exact = curve_preimage(a, horizontal_curve(height))
     assert not any(is_horizontal(c.points) for c in exact)
-    assert_matches_oracle(exact, oracles.continuation_preimage(a, horizontal_curve(height, 64)))
+    assert_matches_oracle(exact, oracles.continuation_preimage(
+        a, oracles.horizontal_polyline(height, 64)))
 
 
 def test_slanted_polyline_through_a_corner_square(eighth):
@@ -253,6 +248,11 @@ def test_obstruction_report(eighth):
     assert report.matrix == pytest.approx(np.array([[1.0]]))
     assert report.obstructed
     assert sorted(h[0] for h in report.lift_heights) == [F(1, 8), F(3, 8)]
+
+
+def test_obstruction_report_at_a_large_denominator():
+    """Its postcritical set holds 5007 points, past any fixed step cap."""
+    assert obstruction_report(F(1, 10007)).degrees == (2, 2)
 
 
 def test_obstruction_report_computes_the_postcritical_set_once(monkeypatch, eighth):

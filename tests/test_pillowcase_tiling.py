@@ -6,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cxcdyn.pillowcase.tiling as tiling
-from cxcdyn.pillowcase import (Tile, Tiling, base_faces, base_skeleton, check_parameter,
-                               orb_point, shuffle_atlas, skeleton_forward_invariance,
-                               subdivide)
+from cxcdyn.pillowcase import (LatticeMap, Tile, Tiling, base_faces, base_skeleton,
+                               check_parameter, orb_point, shuffle_atlas,
+                               skeleton_forward_invariance, subdivide)
 from cxcdyn.pillowcase.tiling import (LatticeError, _canonical_placement, _normalize_segment,
                                       _Pullback)
 from cxcdyn.render import tiling_svg
+import oracles
 from oracles import apply, halvings, locate, shuffle
 
 HALF = F(1, 2)
@@ -65,8 +66,8 @@ def test_skeleton_levels_nest_and_grow(eighth):
 
 
 def test_skeleton_forward_invariance(eighth):
-    assert skeleton_forward_invariance(eighth, samples=2000)
-    assert skeleton_forward_invariance(F(1, 64), samples=2000)
+    assert skeleton_forward_invariance(eighth)
+    assert skeleton_forward_invariance(F(1, 64))
 
 
 def test_depth_cap():
@@ -450,21 +451,50 @@ def test_skeleton_levels_are_the_pulled_back_skeleton(a, depth):
 
 # --- the invariance precondition ----------------------------------------------
 
-@pytest.mark.parametrize("samples", [1, 5, 10, 256])
-def test_invariance_maps_exactly_samples_points(monkeypatch, samples):
-    mapped = []
+@pytest.mark.parametrize("a", [F(0), F(1, 64), F(3, 40), F(1, 8), F(5, 97)])
+def test_invariance_agrees_with_the_sampled_oracle(a):
+    assert skeleton_forward_invariance(a)
+    assert oracles.sampled_skeleton_invariance(a, 2000)
 
-    def counting(a, p):
-        mapped.append(p)
-        return real(a, p)
 
-    real = tiling._pillow_map
-    monkeypatch.setattr(tiling, "_pillow_map", counting)
-    assert skeleton_forward_invariance(F(1, 8), samples=samples)
-    assert len(mapped) == samples
-    if samples % 4 == 0 and samples >= 8:  # the point set before the count was exact
-        per_edge = samples // 4
-        assert mapped == [p for k in range(per_edge)
-                          for t in [F(k, 2 * (per_edge - 1))]
-                          for p in (orb_point(t, 0), orb_point(t, HALF),
-                                    orb_point(0, t), orb_point(HALF, t))]
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=0, max_value=F(1, 8), max_denominator=400))
+def test_invariance_agrees_with_the_sampled_oracle_everywhere(a):
+    assert skeleton_forward_invariance(a) == oracles.sampled_skeleton_invariance(a, 256)
+
+
+@pytest.mark.parametrize("a", [F(0), F(1, 8), F(5, 97)])
+def test_a_bent_half_edge_fails_both_checks(monkeypatch, a):
+    """Bend the image of the right edge's upper half off the skeleton, with
+    its endpoints kept in place: the exact check sees its moved midpoint, the
+    sampled oracle its moved inner points.  A broken corner matrix cannot
+    serve as the broken case: the skeleton's image never enters the corner
+    squares, so no corner piece acts on it."""
+    real = LatticeMap.__call__
+
+    def bent(self, x, y):
+        image = real(self, x, y)
+        quarter = self.scale // 4
+        if x == self.half and quarter < y < self.half:
+            return image[0] + min(y - quarter, self.half - y), image[1]
+        return image
+
+    monkeypatch.setattr(LatticeMap, "__call__", bent)
+    assert not skeleton_forward_invariance(a)
+    assert not oracles.sampled_skeleton_invariance(a, 256)
+
+
+def test_subdivide_checks_invariance_once(monkeypatch):
+    verdicts = []
+
+    def recording(a):
+        verdicts.append(real(a))
+        return verdicts[-1]
+
+    real = tiling.skeleton_forward_invariance
+    monkeypatch.setattr(tiling, "skeleton_forward_invariance", recording)
+    subdivide(F(1, 8), 2)
+    assert verdicts == [True]
+    monkeypatch.setattr(tiling, "skeleton_forward_invariance", lambda a: False)
+    with pytest.raises(RuntimeError, match="not forward invariant"):
+        subdivide(F(1, 8), 1)
