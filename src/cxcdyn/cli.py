@@ -184,13 +184,11 @@ def _cmd_ifs(args) -> int:
         word = dendrite.kneading_reference(_reference_source(args), args.n)
         print(word.symbols)
         return 0
-    if args.action == "compare":
-        ours = dendrite.kneading_sequence(args.lam, args.n, depth=args.depth)
-        ref = dendrite.kneading_reference(_reference_source(args), args.n)
-        _emit({"kneading": ours.symbols, "reference": ref.symbols,
-               "equal": ours.symbols == ref.symbols})
-        return 0
-    raise ValueError(f"unknown ifs action {args.action}")
+    ours = dendrite.kneading_sequence(args.lam, args.n, depth=args.depth)
+    ref = dendrite.kneading_reference(_reference_source(args), args.n)
+    _emit({"kneading": ours.symbols, "reference": ref.symbols,
+           "equal": ours.symbols == ref.symbols})
+    return 0
 
 
 def _reference_source(args):
@@ -222,38 +220,34 @@ def _cmd_menger(args) -> int:
         render.write_pgm(img, args.out)
         _emit({"resolution": args.resolution, "depth": args.depth, "out": args.out})
         return 0
-    if args.action == "check":
-        if args.points < 0:
-            raise ValueError("points must be >= 0")
-        rng = np.random.default_rng(args.seed)
-        numerators = rng.integers(0, 3**8, (args.points, params.k), endpoint=True)
-        status, levels = menger.membership_array(params, numerators / 3**8, args.depth)
-        comparable = np.flatnonzero(status != menger.STATUSES.index("boundary_unknown"))
-        disagreements = None  # no exact oracle outside the all-3 reflect case
-        if menger.digit_oracle_covers(params):
-            disagreements = 0
-            for i in comparable:
-                exact = menger.digit_membership(
-                    params, [Fraction(int(num), 3**8) for num in numerators[i]], args.depth)
-                if (exact.status != menger.STATUSES[status[i]]
-                        or exact.status == "out" and exact.level != levels[i]):
-                    disagreements += 1
-        dev_basic = menger.homothety_deviation(params, pairs=args.pairs, seed=args.seed)
-        payload = {"points": args.points, "disagreements": disagreements,
-                   "boundary_unknown": args.points - len(comparable),
-                   "homothety_max_dev": dev_basic}
-        if params.k == 3:
-            general = menger.MengerParams(n=params.n, k=3, factors=(3, 9, 3), mode=params.mode)
-            payload["homothety_max_dev_generalized"] = menger.homothety_deviation(
-                general, pairs=args.pairs, seed=args.seed)
-        _emit(payload)
-        return 0
-    raise ValueError(f"unknown menger action {args.action}")
+    if args.points < 0:
+        raise ValueError("points must be >= 0")
+    rng = np.random.default_rng(args.seed)
+    numerators = rng.integers(0, 3**8, (args.points, params.k), endpoint=True)
+    status, levels = menger.membership_array(params, numerators / 3**8, args.depth)
+    comparable = np.flatnonzero(status != menger.STATUSES.index("boundary_unknown"))
+    disagreements = None  # no exact oracle outside the all-3 reflect case
+    if menger.digit_oracle_covers(params):
+        disagreements = 0
+        for i in comparable:
+            exact = menger.digit_membership(
+                params, [Fraction(int(num), 3**8) for num in numerators[i]], args.depth)
+            if (exact.status != menger.STATUSES[status[i]]
+                    or exact.status == "out" and exact.level != levels[i]):
+                disagreements += 1
+    dev_basic = menger.homothety_deviation(params, pairs=args.pairs, seed=args.seed)
+    payload = {"points": args.points, "disagreements": disagreements,
+               "boundary_unknown": args.points - len(comparable),
+               "homothety_max_dev": dev_basic}
+    if params.k == 3:
+        general = menger.MengerParams(n=params.n, k=3, factors=(3, 9, 3), mode=params.mode)
+        payload["homothety_max_dev_generalized"] = menger.homothety_deviation(
+            general, pairs=args.pairs, seed=args.seed)
+    _emit(payload)
+    return 0
 
 
 def _cmd_pillow(args) -> int:
-    if args.samples is not None and args.action != "diff":
-        raise ValueError(f"pillow {args.action} is exact and takes no --samples")
     if args.action == "subdivide":
         tiling = subdivide(args.a, args.depth)
         if args.out:
@@ -292,10 +286,8 @@ def _cmd_pillow(args) -> int:
                "preimages": [{"point": [q.x, q.y], "degree": d} for q, d in fiber],
                "degree_sum": sum(d for _, d in fiber)})
         return 0
-    if args.action == "invariance":
-        _emit({"a": args.a, "forward_invariant": skeleton_forward_invariance(args.a)})
-        return 0
-    raise ValueError(f"unknown pillow action {args.action}")
+    _emit({"a": args.a, "forward_invariant": skeleton_forward_invariance(args.a)})
+    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -342,142 +334,144 @@ def _cmd_verify(args) -> int:
             payload["max_roundness_sampled"] = report.max_roundness()
         _emit(payload)
         return 0
-    if args.system == "menger":
-        adapter = menger_adapter(menger.sponge_params(n=args.n, k=args.k))
-        covers = build_covers(adapter, args.depth)
-        _emit({"system": adapter.name, "meshes": covers.meshes,
-               "degree_max": degree_report(covers, args.kmax)})
-        return 0
-    raise ValueError(f"unknown verify system {args.system}")
+    adapter = menger_adapter(menger.sponge_params(n=args.n, k=args.k))
+    covers = build_covers(adapter, args.depth)
+    _emit({"system": adapter.name, "meshes": covers.meshes,
+           "degree_max": degree_report(covers, args.kmax)})
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per action, declaring exactly the options its handler reads,
+    so an option another action reads is a usage error rather than ignored."""
     parser = argparse.ArgumentParser(prog="cxcdyn",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("graph", help="parse and validate a graph file")
-    p.add_argument("--graph", required=True)
+    def options(*parents) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    def command(name, func, help, dest="action"):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p.add_subparsers(dest=dest, required=True)
+
+    def action(actions_, name, *parents, **kwargs) -> argparse.ArgumentParser:
+        # no abbreviations, or a sibling's --point would pass for --points
+        return actions_.add_parser(name, parents=list(parents), allow_abbrev=False, **kwargs)
+
+    graph = options()
+    graph.add_argument("--graph", required=True)
+    system = options(graph)
+    system.add_argument("--alpha", type=_fraction, required=True)
+    seed = options()
+    seed.add_argument("--seed", type=int, default=0)
+    out = options()
+    out.add_argument("--out", default=None)
+
+    p = action(sub, "graph", graph, help="parse and validate a graph file")
     p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("dim", help="solve a dimension equation")
-    p.add_argument("--graph", required=True)
+    p = action(sub, "dim", graph, help="solve a dimension equation")
     p.add_argument("--mode", choices=["conformal", "hausdorff"], default="conformal")
     p.add_argument("--alpha", type=_fraction, default=None)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=_cmd_dim)
 
-    p = sub.add_parser("gdms", help="interval system covers and box dimensions")
-    p.add_argument("action", choices=["cover", "boxdim"])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--alpha", type=_fraction, required=True)
+    acts = command("gdms", _cmd_gdms, "interval system covers and box dimensions")
+    p = action(acts, "cover", system)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--out", default=None, help=".svg strip or .csv listing")
-    p.set_defaults(func=_cmd_gdms)
+    action(acts, "boxdim", system)
 
-    p = sub.add_parser("skew", help="circle skew product over the interval system")
-    p.add_argument("action", choices=["orbit", "scaling", "boxdim"])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--alpha", type=_fraction, required=True)
+    acts = command("skew", _cmd_skew, "circle skew product over the interval system")
+    p = action(acts, "orbit", system, out)
     p.add_argument("--steps", type=int, default=24)
     p.add_argument("--angle", type=_fraction, default=Fraction(1, 3))
+    p = action(acts, "scaling", system, seed)
     p.add_argument("--pairs", type=int, default=10**4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_skew)
+    action(acts, "boxdim", system)
 
-    p = sub.add_parser("ifs", help="planar attractor, overlap, kneading")
-    p.add_argument("action", choices=["attractor", "overlap", "kneading",
-                                      "reference", "compare"])
-    p.add_argument("--lambda", dest="lam", type=_complex_pair, default=None,
-                   help="parameter as 're' or 're,im'; join a negative real part "
-                   "with '=', as in --lambda=-0.7,0.1")
-    p.add_argument("--depth", type=int, default=14)
-    p.add_argument("--n", type=int, default=16)
+    acts = command("ifs", _cmd_ifs, "planar attractor, overlap, kneading")
+    lam = options()
+    lam.add_argument("--lambda", dest="lam", type=_complex_pair, required=True,
+                     help="parameter as 're' or 're,im'; join a negative real part "
+                     "with '=', as in --lambda=-0.7,0.1")
+    lam.add_argument("--depth", type=int, default=14)
+    word = options()
+    word.add_argument("--n", type=int, default=16)
+    reference = options(word)
+    source = reference.add_mutually_exclusive_group(required=True)
+    source.add_argument("--quadratic", help="real parameter c <= -2")
+    source.add_argument("--angle", type=_fraction, help="rational angle p/q")
+    action(acts, "attractor", lam, out)
+    p = action(acts, "overlap", lam)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--quadratic", default=None, help="real parameter c <= -2")
-    p.add_argument("--angle", type=_fraction, default=None, help="rational angle p/q")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_ifs)
+    action(acts, "kneading", lam, word)
+    action(acts, "reference", reference)
+    action(acts, "compare", lam, reference)
 
-    p = sub.add_parser("menger", help="folded-cube membership and rasters")
-    p.add_argument("action", choices=["member", "slice", "check"])
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--factors", default=None, help="comma-separated integers >= 3")
-    p.add_argument("--mode", choices=["reflect", "translate"], default="reflect")
-    p.add_argument("--point", type=_point, default=None)
-    p.add_argument("--depth", type=int, default=5)
+    acts = command("menger", _cmd_menger, "folded-cube membership and rasters")
+    cube = options()
+    cube.add_argument("--n", type=int, default=1)
+    cube.add_argument("--k", type=int, default=3)
+    cube.add_argument("--factors", default=None, help="comma-separated integers >= 3")
+    cube.add_argument("--mode", choices=["reflect", "translate"], default="reflect")
+    cube.add_argument("--depth", type=int, default=5)
+    p = action(acts, "member", cube)
+    p.add_argument("--point", type=_point, required=True)
+    p = action(acts, "slice", cube)
     p.add_argument("--resolution", type=int, default=243)
     p.add_argument("--axis", type=int, default=2)
     p.add_argument("--value", type=_fraction, default=Fraction(0))
+    p.add_argument("--out", required=True)
+    p = action(acts, "check", cube, seed)
     p.add_argument("--points", type=int, default=10**4)
     p.add_argument("--pairs", type=int, default=10**4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_menger)
 
-    p = sub.add_parser("pillow", help="pillowcase family operations")
-    p.add_argument("action", choices=["subdivide", "pcs", "obstruct", "diff",
-                                      "preimages", "invariance"])
-    p.add_argument("--a", type=_fraction, required=True)
+    acts = command("pillow", _cmd_pillow, "pillowcase family operations")
+    a = options()
+    a.add_argument("--a", type=_fraction, required=True)
+    p = action(acts, "subdivide", a, out)
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--samples", type=int, default=None, help="diff only (default 10^4)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--point", type=_point, default=None,
+    action(acts, "pcs", a)
+    action(acts, "obstruct", a)
+    p = action(acts, "diff", a, seed)
+    p.add_argument("--samples", type=int, default=None,
+                   help="sample count; the library's default if absent")
+    p = action(acts, "preimages", a)
+    p.add_argument("--point", type=_point, required=True,
                    help="point as 'x,y'; join a negative x with '=', as in --point=-1/4,1/3")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_pillow)
+    action(acts, "invariance", a)
 
-    p = sub.add_parser("verify", help="cover-refinement diagnostics")
-    p.add_argument("system", choices=["gdms", "dendrite", "pillow", "menger"])
-    p.add_argument("--graph", default=None)
-    p.add_argument("--alpha", type=_fraction, default=None)
-    p.add_argument("--a", type=_fraction, default=Fraction(0))
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    acts = command("verify", _cmd_verify, "cover-refinement diagnostics", dest="system")
+    depth = options()
+    depth.add_argument("--depth", type=int, default=6)
+    kmax = options(depth)
+    kmax.add_argument("--kmax", type=int, default=3)
+    p = action(acts, "gdms", system, kmax, seed, out)
     p.add_argument("--snowflaked", action="store_true")
     p.add_argument("--skew-pairs", type=int, default=0)
+    p = action(acts, "dendrite", depth)
     p.add_argument("--spread-bound", type=float, default=8.0)
+    p = action(acts, "pillow", kmax, seed, out)
+    p.add_argument("--a", type=_fraction, default=Fraction(0))
     p.add_argument("--resolution", type=int, default=6)
     p.add_argument("--cover", choices=["faces", "disks"], default="faces")
+    p = action(acts, "menger", kmax)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_verify)
 
     return parser
-
-
-# options that only some actions of a subcommand need, as (flag, dest, ...)
-# tuples, any one of the dests sufficing; a missing one is a usage error,
-# like a missing required option
-_LAMBDA = ("--lambda", "lam")
-_REFERENCE = ("--quadratic or --angle", "quadratic", "angle")
-_ACTION_NEEDS = {
-    ("ifs", "attractor"): (_LAMBDA,), ("ifs", "overlap"): (_LAMBDA,),
-    ("ifs", "kneading"): (_LAMBDA,), ("ifs", "compare"): (_LAMBDA, _REFERENCE),
-    ("ifs", "reference"): (_REFERENCE,),
-    ("menger", "member"): (("--point", "point"),),
-    ("menger", "slice"): (("--out", "out"),),
-    ("pillow", "preimages"): (("--point", "point"),),
-    ("verify", "gdms"): (("--graph", "graph"), ("--alpha", "alpha")),
-}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    action = getattr(args, "action", getattr(args, "system", None))
-    for flag, *dests in _ACTION_NEEDS.get((args.command, action), ()):
-        if all(getattr(args, dest) is None for dest in dests):
-            parser.error(f"{args.command} {action}: the following arguments are "
-                         f"required: {flag}")
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError, OverflowError) as error:

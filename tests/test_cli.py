@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cxcdyn
-from cxcdyn.cli import main
+from cxcdyn.cli import build_parser, main
 
 TWO_LOOPS = "vertices 1\nedge 1 1 2\nedge 1 1 2\n"
 ONE_LOOP = "vertices 1\nedge 1 1 2\n"
@@ -379,8 +380,8 @@ def test_distortion_csv_deterministic(capsys, graph_file, tmp_path):
     (["ifs", "overlap", "--depth", "4"], "--lambda"),
     (["ifs", "kneading", "--n", "4"], "--lambda"),
     (["ifs", "compare", "--quadratic", "-2", "--n", "4"], "--lambda"),
-    (["ifs", "reference", "--n", "4"], "--quadratic or --angle"),
-    (["ifs", "compare", "--lambda", "1/2", "--n", "4"], "--quadratic or --angle"),
+    (["ifs", "reference", "--n", "4"], "--quadratic --angle"),
+    (["ifs", "compare", "--lambda", "1/2", "--n", "4"], "--quadratic --angle"),
     # a value starting with '-' reads as an option unless joined with '='
     (["ifs", "overlap", "--lambda", "-0.7,0.1", "--depth", "4"], "--lambda"),
 ])
@@ -424,16 +425,7 @@ def test_zero_denominator_is_a_usage_error(capsys, graph_file, argv):
     (["menger", "check", "--points", "-1"], "points"),
     (["menger", "check", "--points", "10", "--pairs", "-1"], "pairs"),
     (["menger", "check", "--points", "10", "--factors", "3,2097152,3"], "2^20"),
-    (["pillow", "obstruct", "--a", "1/8", "--samples", "0"], "samples"),
-    (["pillow", "obstruct", "--a", "1/8", "--samples", "1"], "samples"),
-    (["pillow", "obstruct", "--a", "1/8", "--samples", "-2"], "samples"),
     (["pillow", "diff", "--a", "1/8", "--samples", "-1"], "samples"),
-    (["pillow", "invariance", "--a", "1/8", "--samples", "0"], "samples"),
-    (["pillow", "subdivide", "--a", "1/8", "--depth", "1", "--samples", "-3", "--out", "OUT"],
-     "samples"),
-    (["pillow", "obstruct", "--a", "1/8", "--samples", "64"], "--samples"),
-    (["pillow", "pcs", "--a", "1/8", "--samples", "5"], "--samples"),
-    (["pillow", "preimages", "--a", "1/8", "--point", "1/4,0", "--samples", "5"], "--samples"),
 ])
 def test_malformed_point_or_grid_exits_one(capsys, tmp_path, argv, message):
     out_path = tmp_path / "unused.pgm"
@@ -441,6 +433,116 @@ def test_malformed_point_or_grid_exits_one(capsys, tmp_path, argv, message):
     assert not out_path.exists()
     assert code == 1 and out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pillow", "obstruct", "--a", "1/8", "--samples", "0"],
+    ["pillow", "obstruct", "--a", "1/8", "--samples", "1"],
+    ["pillow", "obstruct", "--a", "1/8", "--samples", "-2"],
+    ["pillow", "invariance", "--a", "1/8", "--samples", "0"],
+    ["pillow", "subdivide", "--a", "1/8", "--depth", "1", "--samples", "-3", "--out", "OUT"],
+    ["pillow", "obstruct", "--a", "1/8", "--samples", "64"],
+    ["pillow", "pcs", "--a", "1/8", "--samples", "5"],
+    ["pillow", "preimages", "--a", "1/8", "--point", "1/4,0", "--samples", "5"],
+])
+def test_samples_outside_diff_is_a_usage_error(capsys, tmp_path, argv):
+    """Only `pillow diff` samples; the exact actions do not declare --samples."""
+    out_path = tmp_path / "unused.svg"
+    with pytest.raises(SystemExit) as info:
+        main([str(out_path) if arg == "OUT" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == "" and "--samples" in captured.err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [["ifs", "reference"], ["ifs", "compare", "--lambda", "1/2"]])
+def test_quadratic_and_angle_are_exclusive(capsys, argv):
+    """Each names the reference map; both at once is a usage error, not a
+    silent preference for the quadratic."""
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--quadratic=-2", "--angle", "1/3", "--n", "8"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert "--quadratic" in captured.err and "--angle" in captured.err
+
+
+def _subparsers(parser):
+    """Name -> parser for the parser's subcommands; empty when it has none."""
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def _action_parsers():
+    """(command, action) -> the parser of that action; action is None for a
+    command without actions, such as `graph`."""
+    return {(command, action): parser
+            for command, command_parser in _subparsers(build_parser()).items()
+            for action, parser in (_subparsers(command_parser) or {None: command_parser}).items()}
+
+
+def _declared(parser):
+    """The long options a parser declares, --help excluded."""
+    return {flag for a in parser._actions if not isinstance(a, argparse._HelpAction)
+            for flag in a.option_strings}
+
+
+def _minimal_argv(command, action, parser, values):
+    """The action's argv with each required option, and the first option of
+    each required group, set to its entry in values."""
+    argv = [command] + ([action] if action else [])
+    firsts = {g._group_actions[0] for g in parser._mutually_exclusive_groups if g.required}
+    for a in parser._actions:
+        if a.required or a in firsts:
+            argv.append(f"{a.option_strings[0]}={values[a.option_strings[0]]}")
+    return argv
+
+
+def test_no_action_accepts_a_siblings_option(capsys, graph_file, tmp_path):
+    """Every option another action of the same command reads is a usage error
+    here, not silently ignored: exit 2, nothing on stdout, no --out file."""
+    parsers = _action_parsers()
+    assert len(parsers) == 25  # one parser per action
+    out_path = tmp_path / "unused.out"
+    values = {"--graph": graph_file, "--alpha": "1/2", "--lambda": "1/2", "--a": "1/8",
+              "--point": "1/4,0", "--out": str(out_path), "--quadratic": "-2"}
+    checked = 0
+    for (command, action), parser in parsers.items():
+        siblings = set().union(*(_declared(p) for (c, _), p in parsers.items() if c == command))
+        argv = _minimal_argv(command, action, parser, values)
+        for flag in sorted(siblings - _declared(parser)):
+            with pytest.raises(SystemExit) as info:
+                main(argv + [f"{flag}=1"])
+            captured = capsys.readouterr()
+            assert info.value.code == 2 and captured.out == "", (argv, flag)
+            assert f"unrecognized arguments: {flag}=1" in captured.err, (argv, flag)
+            assert not out_path.exists()
+            checked += 1
+    assert checked > 0
+
+
+def test_pillow_pcs_rejects_the_options_of_other_actions(capsys, tmp_path):
+    out_path = tmp_path / "x.svg"
+    with pytest.raises(SystemExit) as info:
+        main(["pillow", "pcs", "--a", "1/8", "--depth", "7", "--seed", "3", "--point", "1/4,0",
+              "--out", str(out_path)])
+    assert info.value.code == 2 and capsys.readouterr().out == ""
+    assert not out_path.exists()
+
+
+def _tour_lines():
+    """The `cxcdyn ...` lines of the README's tour block, comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A tour", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split() for line in block.splitlines()
+            if line.startswith("cxcdyn ")]
+
+
+def test_readme_tour_parses():
+    """Each tour command parses against the current parser; none is run."""
+    lines = _tour_lines()
+    assert len(lines) >= 18
+    for line in lines:
+        build_parser().parse_args(line[1:])
 
 
 @pytest.mark.parametrize("argv, unknown", [([], 122), (["--k", "5", "--n", "2"], 182),
@@ -463,6 +565,12 @@ def test_menger_check_outside_the_digit_oracle(capsys):
     assert 0 < payload["boundary_unknown"] < 500
     assert payload["homothety_max_dev"] <= 1e-12
     assert payload["homothety_max_dev_generalized"] <= 1e-12
+
+
+def _own_options(command, action, options):
+    """The `--flag=value` options that the action's parser declares."""
+    declared = _declared(_action_parsers()[command, action])
+    return [option for option in options if option.split("=", 1)[0] in declared]
 
 
 def assert_ends_cleanly(argv):
@@ -505,13 +613,13 @@ def test_menger_cli_fuzz(data, action, k, n, mode, depth, axis, resolution, valu
     point = data.draw(st.one_of(st.lists(_UNIT, min_size=k, max_size=k),
                                 st.lists(_COORDINATE, min_size=1, max_size=5)))
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["menger", action, f"--k={k}", f"--n={n}", f"--mode={mode}",
-                f"--depth={depth}", f"--axis={axis}", f"--resolution={resolution}",
-                f"--value={value}", f"--pairs={pairs}", f"--points={points}",
-                f"--point={','.join(point)}", f"--out={os.path.join(tmp, 'slice.pgm')}"]
+        options = [f"--k={k}", f"--n={n}", f"--mode={mode}", f"--depth={depth}",
+                   f"--axis={axis}", f"--resolution={resolution}", f"--value={value}",
+                   f"--pairs={pairs}", f"--points={points}", f"--point={','.join(point)}",
+                   f"--out={os.path.join(tmp, 'slice.pgm')}"]
         if factors is not None:
-            argv.append(f"--factors={','.join(factors)}")
-        assert_ends_cleanly(argv)
+            options.append(f"--factors={','.join(factors)}")
+        assert_ends_cleanly(["menger", action] + _own_options("menger", action, options))
 
 
 _VALID_PARAMETER = st.fractions(min_value=0, max_value=Fraction(1, 8),
@@ -540,13 +648,12 @@ def test_pillow_cli_fuzz(action, a, depth, samples, point):
     """Every `pillow` invocation ends in exit 0, 1 or 2, never in a traceback.
     Depth and samples stay small, so a run over 5 s means an unbounded loop."""
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["pillow", action, f"--a={a}", f"--depth={depth}",
-                f"--out={os.path.join(tmp, 'tiling.svg')}"]
+        options = [f"--a={a}", f"--depth={depth}", f"--out={os.path.join(tmp, 'tiling.svg')}"]
         if samples is not None:
-            argv.append(f"--samples={samples}")
+            options.append(f"--samples={samples}")
         if point is not None:
-            argv.append(f"--point={','.join(point)}")
-        assert_ends_cleanly(argv)
+            options.append(f"--point={','.join(point)}")
+        assert_ends_cleanly(["pillow", action] + _own_options("pillow", action, options))
 
 
 _DEGREE = st.one_of(st.integers(2, 5), st.integers(2, 5), st.integers(1, 5),
