@@ -425,7 +425,10 @@ def test_zero_denominator_is_a_usage_error(capsys, graph_file, argv):
     (["menger", "check", "--points", "-1"], "points"),
     (["menger", "check", "--points", "10", "--pairs", "-1"], "pairs"),
     (["menger", "check", "--points", "10", "--factors", "3,2097152,3"], "2^20"),
-    (["pillow", "diff", "--a", "1/8", "--samples", "-1"], "samples"),
+    # the id predates the move of the other actions' --samples rows to
+    # test_samples_outside_diff_is_a_usage_error; it is kept stable
+    pytest.param(["pillow", "diff", "--a", "1/8", "--samples", "-1"], "samples",
+                 id="argv16-samples"),
 ])
 def test_malformed_point_or_grid_exits_one(capsys, tmp_path, argv, message):
     out_path = tmp_path / "unused.pgm"
