@@ -361,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def action(actions_, name, *parents, **kwargs) -> argparse.ArgumentParser:
         # no abbreviations, or a sibling's --point would pass for --points
-        return actions_.add_parser(name, parents=list(parents), allow_abbrev=False, **kwargs)
+        p = actions_.add_parser(name, parents=list(parents), allow_abbrev=False, **kwargs)
+        p.set_defaults(action_parser=p)  # main reports leftover arguments under its usage
+        return p
 
     graph = options()
     graph.add_argument("--graph", required=True)
@@ -470,8 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        args.action_parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError, OverflowError) as error:

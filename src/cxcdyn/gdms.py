@@ -210,10 +210,9 @@ def _pull_back_table(sys: IntervalSystem, branches: Sequence[Branch]) -> dict[in
     return table
 
 
-def _pull_back_rows(table: dict[int, list[tuple]], rows: Sequence[_Row]) -> list[_Row]:
+def _pull_back_rows(table: dict[int, list[tuple]], rows: Sequence[_Row]) -> Iterator[_Row]:
     """Every row pulled back through every inverse branch of ``table`` that
     lands on its component, in row order and then edge order."""
-    out = []
     for word, component, terminal, left, length in rows:
         right = left + length
         for k, src, b_left, source_left, source_right, ratio, orientation in table.get(
@@ -222,8 +221,7 @@ def _pull_back_rows(table: dict[int, list[tuple]], rows: Sequence[_Row]) -> list
                 pulled = b_left + (left - source_left) / ratio
             else:
                 pulled = b_left + (source_right - right) / ratio
-            out.append(((k,) + word, src, terminal, pulled, length / ratio))
-    return out
+            yield (k,) + word, src, terminal, pulled, length / ratio
 
 
 def _row(cyl: Cylinder) -> _Row:
@@ -248,7 +246,7 @@ def _cover_levels(sys: IntervalSystem, depth: int) -> Iterator[list[_Row]]:
     rows = [_row(base_cylinder(sys, b.vertex)) for b in sys.bases]
     yield rows
     for _ in range(depth):
-        rows = _pull_back_rows(table, rows)
+        rows = list(_pull_back_rows(table, rows))
         yield rows
 
 
@@ -352,9 +350,12 @@ def cover_rows(cover: Sequence[Cylinder]) -> list[_Listing]:
 
 def cover_listing(sys: IntervalSystem, depth: int) -> Iterator[_Listing]:
     """``cover_rows(repellor_cover(sys, depth))`` one row at a time, read off
-    the kernel's rows without building Cylinders or a list of listings."""
-    for rows in _cover_levels(sys, depth):
+    the kernel's rows without building Cylinders, a list of listings or a
+    list of the last level's rows."""
+    for rows in _cover_levels(sys, depth - 1 if depth > 0 else depth):
         pass
+    if depth > 0:
+        rows = _pull_back_rows(_pull_back_table(sys, sys.branches), rows)
     return ((".".join(map(str, word)) if word else f"base{component}",
              left, left + length, length)
             for word, component, _, left, length in rows)

@@ -5,8 +5,10 @@ exact intervals), its circle skew product (cylinder times arc), the real
 slice of the pair-of-similarities attractor at parameter 1/2 (where the
 branched cover is the tent map on [0, 2], so preimages are exact), and the
 pillowcase family (rasterized on a dyadic grid, with exact fiber counts for
-degrees).  A folded-cube adapter covers the all-3 reflecting case on exact
-base-3 cells.
+degrees).  A folded-cube adapter covers the all-3 reflecting case: every
+element is a box of base-3 cells, the preimage of a box is the product of its
+axes' preimages, and under face adjacency the components of that product are
+the products of each axis's joined copies, so none is flood-filled.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -459,7 +461,23 @@ def pillowcase_adapter(a, resolution: int, cover: str = "faces",
 @dataclass(frozen=True)
 class CubeCells:
     level: int
-    cells: frozenset[tuple[int, ...]]
+    box: tuple[tuple[int, int], ...]  # the first and last cell index on each axis
+
+    @property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        """The box's cells in ascending order."""
+        return tuple(itertools.product(*(range(lo, hi + 1) for lo, hi in self.box)))
+
+
+def _join_copies(copies: list[tuple[int, int]]) -> list[list[int]]:
+    """Ascending intervals, touching ones joined: [first, last, intervals joined]."""
+    joined: list[list[int]] = []
+    for lo, hi in copies:
+        if joined and lo <= joined[-1][1] + 1:
+            joined[-1][1:] = hi, joined[-1][2] + 1
+        else:
+            joined.append([lo, hi, 1])
+    return joined
 
 
 def menger_adapter(params: MengerParams) -> Adapter:
@@ -472,52 +490,41 @@ def menger_adapter(params: MengerParams) -> Adapter:
         return tuple((2 * c + 1) / (2 * scale) for c in cell)
 
     def initial() -> list[CubeCells]:
-        return [CubeCells(1, frozenset({cell}))
+        return [CubeCells(1, tuple((c, c) for c in cell))
                 for cell in itertools.product(range(3), repeat=k)]
 
-    steps = [(axis, delta) for axis in range(k) for delta in (-1, 1)]
-
-    def neighbors(cell: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return [cell[:axis] + (cell[axis] + delta,) + cell[axis + 1:] for axis, delta in steps]
-
-    def preimage_cells(cell: tuple[int, ...], scale: int) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*[(c, 2 * scale - 1 - c, 2 * scale + c) for c in cell])
-
     def components(payload: CubeCells) -> list[tuple[CubeCells, int]]:
-        scale = 3 ** payload.level
-        pre = set()
-        for cell in payload.cells:
-            pre.update(preimage_cells(cell, scale))
-        comps = _flood_components(pre, neighbors)
-        # the degree over a component is the number of the 3^k fiber cells of
-        # one target cell that it holds
-        fiber = list(preimage_cells(next(iter(payload.cells)), scale))
-        degrees = [sum(cell in comp for cell in fiber) for comp in comps]
+        # on one axis cell c pulls back to cells c, 2s - 1 - c and 2s + c, s = 3^level;
+        # a component's degree is the product of the numbers of copies it joins
+        s = 3 ** payload.level
+        axes = [_join_copies([(lo, hi), (2 * s - 1 - hi, 2 * s - 1 - lo), (2 * s + lo, 2 * s + hi)])
+                for lo, hi in payload.box]
+        pieces = [(CubeCells(payload.level + 1, tuple((lo, hi) for lo, hi, _ in joined)),
+                   math.prod(copies for _, _, copies in joined))
+                  for joined in itertools.product(*axes)]
+        degrees = [degree for _, degree in pieces]
         if min(degrees, default=1) == 0 or sum(degrees) != 3 ** k:
             raise ValueError(f"folded-cube degrees {degrees} over a level-{payload.level} "
                              f"element do not certify a degree-{3 ** k} cover")
-        return [(CubeCells(payload.level + 1, comp), deg)
-                for comp, deg in zip(comps, degrees)]
+        return pieces
 
     def sup_metric(x: Sequence[float], y: Sequence[float]) -> float:
         return max(abs(a - b) for a, b in zip(x, y))
 
     def diameter(payload: CubeCells) -> float:
-        scale = 3 ** payload.level
-        return max((max(values) - min(values) + 1) / scale for values in zip(*payload.cells))
+        return max((hi - lo + 1) / 3 ** payload.level for lo, hi in payload.box)
 
     def samples(payload: CubeCells, n: int, rng) -> list[tuple[float, ...]]:
-        cells = sorted(payload.cells)
-        step = max(1, len(cells) // n)
-        return [center(payload.level, c) for c in cells[::step]][:max(1, n)]
+        cells = payload.cells
+        return [center(payload.level, c) for c in cells[::max(1, len(cells) // n)]][:max(1, n)]
 
     def dtc(payload: CubeCells, p: Sequence[float]) -> float:
-        scale = 3 ** payload.level
-        ring = {nb for cell in payload.cells for nb in neighbors(cell)
-                if 0 <= min(nb) and max(nb) < scale and nb not in payload.cells}
-        if not ring:
-            return float("inf")
-        nearest = min(sup_metric(p, center(payload.level, c)) for c in ring)
+        # the cells outside the box that share a face with it
+        scale, box = 3 ** payload.level, payload.box
+        ring = [cell for axis, (lo, hi) in enumerate(box) for c in (lo - 1, hi + 1)
+                if 0 <= c < scale
+                for cell in CubeCells(0, box[:axis] + ((c, c),) + box[axis + 1:]).cells]
+        nearest = min((sup_metric(p, center(payload.level, c)) for c in ring), default=math.inf)
         return max(nearest - 0.5 / scale, 0.25 / scale)
 
     def outradius(payload: CubeCells, p: Sequence[float]) -> float:
@@ -528,7 +535,8 @@ def menger_adapter(params: MengerParams) -> Adapter:
         if small.level < big.level:
             return False
         shift = 3 ** (small.level - big.level)
-        return all(tuple(c // shift for c in cell) in big.cells for cell in small.cells)
+        return all(b[0] <= s[0] // shift and s[1] // shift <= b[1]
+                   for s, b in zip(small.box, big.box))
 
     return Adapter(
         name=f"folded-cube(k={k})",

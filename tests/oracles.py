@@ -27,6 +27,11 @@ the dense horizontal circles it needs (``horizontal_polyline``).
 The skeleton's forward invariance is decided exactly on its eight half-edges;
 the check it replaced, which maps evenly spaced points of the four edges
 (``sampled_skeleton_invariance``), is its oracle.
+
+Folded-cube elements are boxes, and their preimage components are products
+of each axis's joined copies; the flood fill over the preimage cell set and
+the count of one target cell's fiber in each component that they replaced
+(``cube_components``) are their oracle.
 """
 
 import itertools
@@ -43,6 +48,7 @@ from cxcdyn.pillowcase.core import (HALF, AffineRegion, OrbPoint, RatLike, check
                                     doubling, mat, mat_vec, orb_point, point_in_triangle,
                                     shuffle_atlas)
 from cxcdyn.skew import SkewPoint, skew_distance, skew_map
+from cxcdyn.verify.adapters import _flood_components
 
 IDENTITY_REGION = AffineRegion((), mat(1, 0, 0, 1), (Fraction(0), Fraction(0)))
 
@@ -306,3 +312,25 @@ def attractor_points(lam, depth, seed=0.0):
     for _ in range(depth):
         pts = np.concatenate([lam * pts, lam * pts + 1.0])
     return pts
+
+
+def cube_components(level, cells):
+    """The preimage components of a set of base-3 cells of side 3^-level
+    under the folded cube's map, with their degrees: the flood fill of all
+    preimage cells under face adjacency, and in each component the number of
+    the 3^k fiber cells of one target cell."""
+    scale = 3 ** level
+
+    def preimage_cells(cell):
+        return itertools.product(*[(c, 2 * scale - 1 - c, 2 * scale + c) for c in cell])
+
+    def neighbors(cell):
+        return [cell[:axis] + (cell[axis] + delta,) + cell[axis + 1:]
+                for axis in range(len(cell)) for delta in (-1, 1)]
+
+    pre = set()
+    for cell in cells:
+        pre.update(preimage_cells(cell))
+    comps = _flood_components(pre, neighbors)
+    fiber = list(preimage_cells(next(iter(cells))))
+    return [(comp, sum(cell in comp for cell in fiber)) for comp in comps]

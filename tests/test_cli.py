@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -523,6 +524,19 @@ def test_no_action_accepts_a_siblings_option(capsys, graph_file, tmp_path):
     assert checked > 0
 
 
+@pytest.mark.parametrize("argv, prog", [
+    (["pillow", "pcs", "--a", "1/8", "--out", "x.svg"], "cxcdyn pillow pcs"),
+    (["dim", "--graph", "GRAPH", "--out", "x.svg"], "cxcdyn dim"),
+], ids=["pillow pcs", "dim"])
+def test_an_unread_option_is_reported_by_its_action(capsys, graph_file, argv, prog):
+    """The usage line and the error name the action, not the top-level parser."""
+    with pytest.raises(SystemExit) as info:
+        main([graph_file if arg == "GRAPH" else arg for arg in argv])
+    err = capsys.readouterr().err
+    assert info.value.code == 2 and err.startswith(f"usage: {prog} ")
+    assert f"{prog}: error: unrecognized arguments: --out x.svg" in err
+
+
 def test_pillow_pcs_rejects_the_options_of_other_actions(capsys, tmp_path):
     out_path = tmp_path / "x.svg"
     with pytest.raises(SystemExit) as info:
@@ -546,6 +560,83 @@ def test_readme_tour_parses():
     assert len(lines) >= 18
     for line in lines:
         build_parser().parse_args(line[1:])
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def golden_outputs(line, directory):
+    """Run one `cxcdyn ...` line through `main` in ``directory``, next to
+    the README's `two_loops.g`: its exit code, the sha256 of its stdout and
+    of its `--out` file (None without one)."""
+    argv = line[1:]
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        Path("two_loops.g").write_text(TWO_LOOPS)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        out = argv[argv.index("--out") + 1] if "--out" in argv else None
+        return code, _sha256(stdout.getvalue().encode()), out and _sha256(Path(out).read_bytes())
+    finally:
+        os.chdir(cwd)
+
+
+# Recorded with Python 3.11 and numpy 2.4 before the folded-cube adapter
+# moved to boxes; a different numpy may move a last digit of a float.
+GOLDEN = {
+    "cxcdyn graph --graph two_loops.g":
+        (0, "c8814d24b8447c01669eddbef7e2591bf2f51205bb696354dd1eea4b640fc9d2", None),
+    "cxcdyn dim --graph two_loops.g --mode conformal":
+        (0, "1c9463d45f3d6980a0584c4dc217aa36b1e2c2f053e6053893b1ea40a8a27a5a", None),
+    "cxcdyn dim --graph two_loops.g --mode hausdorff --alpha 1/2":
+        (0, "466424ac21d3b37dc16886ed6ef5deab1cd06998358b9381f91da5d91a9d4d78", None),
+    "cxcdyn gdms cover --graph two_loops.g --alpha 1/2 --depth 4 --out cover.svg":
+        (0, "8037e3ecf3e092311ad36cd1c2d268e229acecfeaa61890730adeb5b44e2f645",
+         "38f714c76ce8dab48c829192de7ebfb1d26ba81d750a0cbda2999a117b0ee5ce"),
+    "cxcdyn gdms boxdim --graph two_loops.g --alpha 1/2":
+        (0, "f54863f6581601a8cfbc079ed8e68f44056b2b22481f09cdbdd5601e448ce44e", None),
+    "cxcdyn skew scaling --graph two_loops.g --alpha 1/2 --pairs 10000":
+        (0, "b467dc8ccba38f1fa9aa6defb4278f1bb9641d889497a785e4a0b007a68c60bc", None),
+    "cxcdyn ifs attractor --lambda 0.366,0.52 --depth 16 --out cloud.pgm":
+        (0, "a24648fdd6f0c9c5d5829476be89b78ac8307740aa679ff3c59e3b79e6a771ec",
+         "c1be823b73c3fe9d375cfced0f860153bcf9d785bd3584147eef1ea533bc0af2"),
+    "cxcdyn ifs compare --lambda 1/2 --quadratic -2 --n 16":
+        (0, "f312e9dcfd735c7a80f2624446b4967a67ed1a800fd11366e097f232731c1335", None),
+    "cxcdyn menger member --point 1/2,1/2,0 --depth 5":
+        (0, "8be038a886ed251456f1a4b1e9f594b063acb990d78e2523cd271035d4f9eb29", None),
+    "cxcdyn menger check --points 10000 --depth 5":
+        (0, "df8ae5c1ef84653d0082dc7e5c69cd1f7cf291049fd843c6f52d6cb612ae89cc", None),
+    "cxcdyn menger check --factors 3,27,3":
+        (0, "7ae0fc42615141cfcfd4399694e25b29d809d2fca6c3de040c75e8ab80da978d", None),
+    "cxcdyn pillow subdivide --a 1/8 --depth 6 --out tiling.svg":
+        (0, "7856024a69ee8e1fff2f9962629f4feeb9b83fc10af4676a8a1b3454ec6e07b9",
+         "36b69d095b1f8ba20cb40790fb5873df8c9e8afc4b4e109b6b58f35b5b86c939"),
+    "cxcdyn pillow pcs --a 1/8":
+        (0, "efdd92229e3a9f254c7b48f830ef9cf3a3afd632e99744c6bbbb166a477d9d92", None),
+    "cxcdyn pillow obstruct --a 1/64":
+        (0, "7c43df8c507563a072258ed0a3d596ea4e03c5b527943741555c59f12d0219b4", None),
+    "cxcdyn pillow diff --a 1/8":
+        (0, "b9c3187187fef5aadc8604c8ae460004e5e5899bfdd6e32099f0749ab3c0a295", None),
+    "cxcdyn verify gdms --graph two_loops.g --alpha 1/2 --depth 8 --skew-pairs 10000":
+        (0, "4bc42d917c81504653884e13ad53fc189387326299738bf807e3d97c4f8c2a84", None),
+    "cxcdyn verify dendrite --depth 10":
+        (0, "2da559690896d9a84066c4fade2d7c4bf04f833562c9913a05ba77a67e31bd32", None),
+    "cxcdyn verify pillow --a 0 --depth 3 --resolution 6 --cover faces":
+        (0, "22e0be19eec0b25ed83b88416efc60ca5eb76a7d03e2bba81d895faa9525c453", None),
+    "cxcdyn verify menger --n 1 --k 3 --depth 2":
+        (0, "a46e16dcf9aa86d1803799bb5e46f04005490dce258756c21ea1327a98515ed2", None),
+}
+
+
+@pytest.mark.parametrize("line", _tour_lines() + [
+    ["cxcdyn", "verify", "menger", "--n", "1", "--k", "3", "--depth", "2"]], ids=" ".join)
+def test_tour_outputs_are_pinned(tmp_path, line):
+    """Every README tour line, and a folded-cube verifier run, prints and
+    writes the same bytes as when the table was recorded."""
+    assert golden_outputs(line, tmp_path) == GOLDEN[" ".join(line)]
 
 
 @pytest.mark.parametrize("argv, unknown", [([], 122), (["--k", "5", "--n", "2"], 182),

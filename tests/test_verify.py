@@ -23,7 +23,8 @@ from cxcdyn.pillowcase.tiling import subdivide
 from cxcdyn.verify import adapters
 from cxcdyn.verify.adapters import _PillowGrid, _flood_components
 from cxcdyn.verify.core import DistortionReport, _evaluate_k
-from oracles import fraction_cell_of, fraction_fiber_degrees, fraction_pillow_map
+from oracles import (cube_components, fraction_cell_of, fraction_fiber_degrees,
+                     fraction_pillow_map)
 
 
 # --- refine / mesh ----------------------------------------------------------
@@ -162,14 +163,27 @@ def test_folded_cube_degrees_match_the_float_fiber(n, k, depth):
             assert min(degrees) > 0 and sum(degrees) == 3 ** k
 
 
-@pytest.mark.parametrize("doctor", ["extra component", "missing component"])
-def test_folded_cube_uncertified_degrees_raise(monkeypatch, doctor):
-    def doctored(cells, neighbors):
-        comps = flood(cells, neighbors)
-        return comps + [frozenset({(-9, -9)})] if doctor == "extra component" else comps[1:]
+@pytest.mark.parametrize("n, k, depth", [(0, 2, 3), (1, 3, 2), (0, 3, 2)])
+def test_folded_cube_boxes_match_the_flood_fill(n, k, depth):
+    """Each element's box components, as cell sets, and their degrees are the
+    flood fill's over its preimage cells and one target cell's fiber."""
+    adapter = menger_adapter(MengerParams(n=n, k=k, factors=(3,) * k))
+    for level in build_covers(adapter, depth).levels[:-1]:
+        for element in level:
+            payload = element.payload
+            boxes = [(frozenset(comp.cells), degree)
+                     for comp, degree in adapter.preimage_components(payload)]
+            flood = cube_components(payload.level, payload.cells)
+            assert sorted(boxes, key=lambda c: min(c[0])) == sorted(flood, key=lambda c: min(c[0]))
 
-    flood = adapters._flood_components
-    monkeypatch.setattr(adapters, "_flood_components", doctored)
+
+@pytest.mark.parametrize("doctor", ["dropped copy", "duplicated copy"])
+def test_folded_cube_uncertified_degrees_raise(monkeypatch, doctor):
+    def doctored(copies):
+        return join(copies[1:] if doctor == "dropped copy" else copies + copies[-1:])
+
+    join = adapters._join_copies
+    monkeypatch.setattr(adapters, "_join_copies", doctored)
     with pytest.raises(ValueError, match="level-1 element"):
         build_covers(menger_adapter(MengerParams(n=0, k=2, factors=(3, 3))), 1)
 
