@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional, Sequence
 
 import math
@@ -56,18 +57,32 @@ def sponge_params(n: int = 1, k: int = 3, mode: str = "reflect") -> MengerParams
     return MengerParams(n=n, k=k, factors=(3,) * k, mode=mode)
 
 
-def _fold(y: float) -> float:
-    y = y % 2.0
-    return 2.0 - y if y > 1.0 else y
+def _image(params: MengerParams, point: Sequence[float]) -> tuple[float, ...]:
+    """One step of the map on a point of floats: scale each coordinate, then
+    reflect it back into [0, 1] (fold) or translate it (wrap)."""
+    if params.mode == "reflect":
+        return tuple([2.0 - y if (y := f * c % 2.0) > 1.0 else y
+                      for f, c in zip(params.factors, point)])
+    return tuple([f * c % 1.0 for f, c in zip(params.factors, point)])
+
+
+def _image_rows(params: MengerParams, points: np.ndarray) -> np.ndarray:
+    """`_image` on every row of an (N, k) float array, in place, with the
+    same IEEE operations in the same order."""
+    points *= np.array(params.factors, dtype=float)
+    if params.mode == "reflect":
+        np.remainder(points, 2.0, out=points)
+        np.subtract(2.0, points, out=points, where=points > 1.0)
+    else:
+        np.remainder(points, 1.0, out=points)
+    return points
 
 
 def expanding_map(params: MengerParams, x: Sequence[float]) -> tuple[float, ...]:
     """Scale coordinatewise and reduce back into the cube."""
     if len(x) != params.k:
         raise ValueError("point dimension mismatch")
-    if params.mode == "reflect":
-        return tuple(_fold(f * float(c)) for f, c in zip(params.factors, x))
-    return tuple((f * float(c)) % 1.0 for f, c in zip(params.factors, x))
+    return _image(params, [float(c) for c in x])
 
 
 @dataclass(frozen=True)
@@ -90,20 +105,27 @@ def membership(params: MengerParams, x: Sequence[float], depth: int,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    point = tuple(float(c) for c in x)
+    point = tuple(map(float, x))
     if len(point) != params.k:
         raise ValueError("point dimension mismatch")
     if not all(0.0 <= c <= 1.0 for c in point):  # NaN fails both comparisons
         raise ValueError("coordinates must lie in [0, 1]")
     need = params.n + 1
+    # two independent windows: for tol < 0 the sure one is the wider
+    sure_lo, sure_hi = 1.0 / 3.0 + tol, 2.0 / 3.0 - tol
+    near_lo, near_hi = 1.0 / 3.0 - tol, 2.0 / 3.0 + tol
     for level in range(depth + 1):
-        surely = sum(1 for c in point if 1.0 / 3.0 + tol < c < 2.0 / 3.0 - tol)
-        possibly = sum(1 for c in point if 1.0 / 3.0 - tol < c < 2.0 / 3.0 + tol)
+        surely = possibly = 0
+        for c in point:
+            if sure_lo < c < sure_hi:
+                surely += 1
+            if near_lo < c < near_hi:
+                possibly += 1
         if surely >= need:
             return Membership(status="out", level=level)
         if possibly >= need:
             return Membership(status="boundary_unknown", level=level)
-        point = expanding_map(params, point)
+        point = _image(params, point)
     return Membership(status="in")
 
 
@@ -127,7 +149,6 @@ def membership_array(params: MengerParams, points: np.ndarray, depth: int,
         raise ValueError("point dimension mismatch")
     if not np.all((live_points >= 0.0) & (live_points <= 1.0)):
         raise ValueError("coordinates must lie in [0, 1]")
-    factors = np.array(params.factors, dtype=float)
     need = params.n + 1
     status = np.zeros(len(live_points), dtype=np.int8)
     levels = np.full(len(live_points), -1)
@@ -141,12 +162,7 @@ def membership_array(params: MengerParams, points: np.ndarray, depth: int,
         levels[live[decided]] = level
         # a fresh array, so the map below never writes into the caller's
         live, live_points = live[~decided], live_points[~decided]
-        live_points *= factors
-        if params.mode == "reflect":
-            np.remainder(live_points, 2.0, out=live_points)
-            np.subtract(2.0, live_points, out=live_points, where=live_points > 1.0)
-        else:
-            np.remainder(live_points, 1.0, out=live_points)
+        _image_rows(params, live_points)
     return status, levels
 
 
@@ -169,20 +185,31 @@ def digit_membership(params: MengerParams, x: Sequence[Fraction], depth: int) ->
         raise ValueError("depth must be >= 0")
     if not digit_oracle_covers(params):
         raise ValueError("digit oracle only covers the all-3 reflect case")
+    terms = []
     try:
-        coords = [Fraction(c) for c in x]
+        for c in x:
+            if type(c) is not Fraction:  # a Fraction is already in lowest terms
+                c = Fraction(c)
+            terms.append((c.numerator, c.denominator))
     except (OverflowError, ValueError):  # an infinite or NaN float
         raise ValueError("coordinates must lie in [0, 1]") from None
-    if len(coords) != params.k:
+    if len(terms) != params.k:
         raise ValueError("point dimension mismatch")
-    if any(c < 0 or c > 1 for c in coords):
+    if not all(0 <= p <= q for p, q in terms):
         raise ValueError("coordinates must lie in [0, 1]")
     need = params.n + 1
-    rests = [(c.numerator % c.denominator, c.denominator) for c in coords]
+    rests = [(p % q, q) for p, q in terms]
     for level in range(depth + 1):
-        if sum(1 for r, q in rests if q < 3 * r < 2 * q) >= need:
+        # one pass: count the window hits of 3r, and keep 3r mod q for the next level
+        hits, tripled = 0, []
+        for r, q in rests:
+            r *= 3
+            if q < r < 2 * q:
+                hits += 1
+            tripled.append((r % q, q))
+        if hits >= need:
             return Membership(status="out", level=level)
-        rests = [(3 * r % q, q) for r, q in rests]
+        rests = tripled
     return Membership(status="in")
 
 
@@ -192,6 +219,15 @@ def snowflake_distance(params: MengerParams, x: Sequence[float], y: Sequence[flo
         raise ValueError("point dimension mismatch")
     eps = params.exponents
     return max(abs(float(a) - float(b)) ** e for a, b, e in zip(x, y, eps))
+
+
+def _snowflake_rows(params: MengerParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`snowflake_distance` of each row pair of two (N, k) arrays.  The
+    powers stay scalar libm ``pow``, because numpy's vectorised power rounds
+    some of them differently."""
+    powers = [np.fromiter(map(pow, column.tolist(), repeat(e)), float, len(column))
+              for column, e in zip(np.abs(x - y).T, params.exponents)]
+    return np.maximum.reduce(powers)
 
 
 def segment_clears_folds(params: MengerParams, x: Sequence[float], y: Sequence[float]) -> bool:
@@ -207,6 +243,15 @@ def segment_clears_folds(params: MengerParams, x: Sequence[float], y: Sequence[f
     return True
 
 
+def _clear_rows(params: MengerParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`segment_clears_folds` of each row pair of two (N, k) arrays."""
+    factors = np.array(params.factors, dtype=float)
+    sa, sb = factors * x, factors * y
+    ca, cb = np.floor(sa), np.floor(sb)
+    edge = np.minimum(np.minimum(sa - ca, ca + 1.0 - sa), np.minimum(sb - cb, cb + 1.0 - sb))
+    return ((ca == cb) & (edge >= 1e-12)).all(axis=1)
+
+
 # homothety pairs live on the 2^-20 grid, where the integer scalings are
 # exact in binary floating point
 _GRID = 2**20
@@ -214,23 +259,15 @@ _PROPOSALS_PER_PAIR = 4
 _BATCH = 4096
 
 
-def homothety_deviation(params: MengerParams, pairs: int, seed: int = 0) -> float:
-    """Max |d(f x, f y) - 3 d(x, y)| over `pairs` sampled admissible pairs.
+def _admissible_pairs(params: MengerParams, pairs: int, rng: np.random.Generator):
+    """Draw proposals in batches and yield, per batch, the admissible pairs
+    it keeps: (x, y, d) with x and y (m, k) arrays of points and d their
+    snowflake distances.
 
-    x is drawn from the 2^-20 grid points off every fold hyperplane, and
-    each coordinate y_i directly from the grid points strictly inside x_i's
-    scaling cell [c/f_i, (c+1)/f_i] and closer to x_i than bound^(1/e_i),
-    with bound = 1/(2 max factor) and e_i = log 3 / log f_i.  Every pair
-    must still pass both admissibility checks: snowflake distance below
-    bound, and clear of every fold hyperplane.  The cost is O(pairs): past
-    4 * pairs proposals this raises ValueError instead of sampling on.
+    The checks run in bulk in the order of a pair-by-pair loop: snowflake
+    distance below bound = 1/(2 max factor), then clear of every fold.
+    Past 4 * pairs proposals this raises ValueError instead of drawing on.
     """
-    if pairs < 0:
-        raise ValueError("pairs must be >= 0")
-    if max(params.factors) >= _GRID:
-        raise ValueError("factors of 2^20 or more leave no scaling cell wider "
-                         "than the 2^-20 sampling grid")
-    rng = np.random.default_rng(seed)
     bound = 1.0 / (2.0 * max(params.factors))
     factors = np.array(params.factors, dtype=np.int64)
     # the folds of f_i meet the grid in the multiples of period_i = 2^20 / g_i,
@@ -239,7 +276,6 @@ def homothety_deviation(params: MengerParams, pairs: int, seed: int = 0) -> floa
     period = _GRID // shared
     # the largest grid offset strictly inside the snowflake ball
     reach = np.array([math.ceil(bound ** (1.0 / e) * _GRID) - 1 for e in params.exponents])
-    worst = 0.0
     found = proposed = 0
     while found < pairs:
         size = min(pairs - found, _BATCH, _PROPOSALS_PER_PAIR * pairs - proposed)
@@ -255,15 +291,41 @@ def homothety_deviation(params: MengerParams, pairs: int, seed: int = 0) -> floa
         last = -(-(cell + 1) * _GRID // factors) - 1
         v = rng.integers(np.maximum(u - reach, first), np.minimum(u + reach, last),
                          endpoint=True)
-        for x, y in zip((u / _GRID).tolist(), (v / _GRID).tolist()):
-            if snowflake_distance(params, x, y) >= bound:
-                continue
-            if not segment_clears_folds(params, x, y):
-                continue
-            found += 1
-            lhs = snowflake_distance(params, expanding_map(params, x), expanding_map(params, y))
-            rhs = 3.0 * snowflake_distance(params, x, y)
-            worst = max(worst, abs(lhs - rhs))
+        x, y = u / _GRID, v / _GRID
+        d = _snowflake_rows(params, x, y)
+        near = d < bound
+        x, y, d = x[near], y[near], d[near]
+        clear = _clear_rows(params, x, y)
+        x, y, d = x[clear], y[clear], d[clear]
+        found += len(d)
+        yield x, y, d
+
+
+def homothety_deviation(params: MengerParams, pairs: int, seed: int = 0) -> float:
+    """Max |d(f x, f y) - 3 d(x, y)| over `pairs` sampled admissible pairs.
+
+    x is drawn from the 2^-20 grid points off every fold hyperplane, and
+    each coordinate y_i directly from the grid points strictly inside x_i's
+    scaling cell [c/f_i, (c+1)/f_i] and closer to x_i than bound^(1/e_i),
+    with bound = 1/(2 max factor) and e_i = log 3 / log f_i.  Every pair
+    must still pass both admissibility checks: snowflake distance below
+    bound, and clear of every fold hyperplane.  The cost is O(pairs): past
+    4 * pairs proposals this raises ValueError instead of sampling on.
+
+    The checks, the map and the distances run in bulk over each batch, with
+    the IEEE operations of `snowflake_distance`, `segment_clears_folds` and
+    `expanding_map` in their order, so the result equals that of a
+    pair-by-pair loop bit for bit.
+    """
+    if pairs < 0:
+        raise ValueError("pairs must be >= 0")
+    if max(params.factors) >= _GRID:
+        raise ValueError("factors of 2^20 or more leave no scaling cell wider "
+                         "than the 2^-20 sampling grid")
+    worst = 0.0
+    for x, y, d in _admissible_pairs(params, pairs, np.random.default_rng(seed)):
+        lhs = _snowflake_rows(params, _image_rows(params, x), _image_rows(params, y))
+        worst = max(worst, float(np.abs(lhs - 3.0 * d).max(initial=0.0)))
     return worst
 
 

@@ -28,6 +28,11 @@ The skeleton's forward invariance is decided exactly on its eight half-edges;
 the check it replaced, which maps evenly spaced points of the four edges
 (``sampled_skeleton_invariance``), is its oracle.
 
+The folded-cube homothety sampler checks, maps and measures each batch of
+pairs in bulk; the loop it replaced, which passes the same draws pair by pair
+through the scalar ``snowflake_distance``, ``segment_clears_folds`` and
+``expanding_map`` (``homothety_deviation``), is its oracle.
+
 Folded-cube elements are boxes, and their preimage components are products
 of each axis's joined copies; the flood fill over the preimage cell set and
 the count of one target cell's fiber in each component that they replaced
@@ -43,6 +48,8 @@ from typing import Sequence
 import numpy as np
 
 from cxcdyn.gdms import Cylinder, GDMSPoint, base_cylinder
+from cxcdyn.menger import (_BATCH, _GRID, _PROPOSALS_PER_PAIR, expanding_map,
+                           segment_clears_folds, snowflake_distance)
 from cxcdyn.pillowcase import LiftedCurve, pillow_map, postcritical_set, preimages
 from cxcdyn.pillowcase.core import (HALF, AffineRegion, OrbPoint, RatLike, check_parameter,
                                     doubling, mat, mat_vec, orb_point, point_in_triangle,
@@ -285,6 +292,47 @@ def scaling_deviation(sys, pairs, seed=0):
         lhs = skew_distance(sys, skew_map(sys, p), skew_map(sys, q))
         rhs = b.degree * skew_distance(sys, p, q)
         worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def homothety_deviation(params, pairs, seed=0):
+    """The folded-cube homothety sampler, pair by pair through the scalar
+    ``snowflake_distance``, ``segment_clears_folds`` and ``expanding_map``,
+    on the draws of ``cxcdyn.menger.homothety_deviation``."""
+    if pairs < 0:
+        raise ValueError("pairs must be >= 0")
+    if max(params.factors) >= _GRID:
+        raise ValueError("factors of 2^20 or more leave no scaling cell wider "
+                         "than the 2^-20 sampling grid")
+    rng = np.random.default_rng(seed)
+    bound = 1.0 / (2.0 * max(params.factors))
+    factors = np.array(params.factors, dtype=np.int64)
+    shared = np.gcd(factors, _GRID)
+    period = _GRID // shared
+    reach = np.array([math.ceil(bound ** (1.0 / e) * _GRID) - 1 for e in params.exponents])
+    worst = 0.0
+    found = proposed = 0
+    while found < pairs:
+        size = min(pairs - found, _BATCH, _PROPOSALS_PER_PAIR * pairs - proposed)
+        if size <= 0:
+            raise ValueError(f"only {found} of {proposed} proposals were admissible pairs")
+        proposed += size
+        t = rng.integers(0, _GRID - shared, (size, params.k))
+        u = t + t // (period - 1) + 1
+        cell = factors * u // _GRID
+        first = cell * _GRID // factors + 1
+        last = -(-(cell + 1) * _GRID // factors) - 1
+        v = rng.integers(np.maximum(u - reach, first), np.minimum(u + reach, last),
+                         endpoint=True)
+        for x, y in zip((u / _GRID).tolist(), (v / _GRID).tolist()):
+            if snowflake_distance(params, x, y) >= bound:
+                continue
+            if not segment_clears_folds(params, x, y):
+                continue
+            found += 1
+            lhs = snowflake_distance(params, expanding_map(params, x), expanding_map(params, y))
+            rhs = 3.0 * snowflake_distance(params, x, y)
+            worst = max(worst, abs(lhs - rhs))
     return worst
 
 

@@ -585,7 +585,9 @@ def golden_outputs(line, directory):
 
 
 # Recorded with Python 3.11 and numpy 2.4 before the folded-cube adapter
-# moved to boxes; a different numpy may move a last digit of a float.
+# moved to boxes, and the two `menger check` rows with `--points 1000`
+# before the homothety sampler moved to arrays; a different numpy may move a
+# last digit of a float.
 GOLDEN = {
     "cxcdyn graph --graph two_loops.g":
         (0, "c8814d24b8447c01669eddbef7e2591bf2f51205bb696354dd1eea4b640fc9d2", None),
@@ -611,6 +613,10 @@ GOLDEN = {
         (0, "df8ae5c1ef84653d0082dc7e5c69cd1f7cf291049fd843c6f52d6cb612ae89cc", None),
     "cxcdyn menger check --factors 3,27,3":
         (0, "7ae0fc42615141cfcfd4399694e25b29d809d2fca6c3de040c75e8ab80da978d", None),
+    "cxcdyn menger check --factors 3,27,3 --points 1000 --pairs 2000":
+        (0, "cc67f3fe7bc2031053a9d542e7b4d1f5174223e4103c6d814d8ceda41afb2959", None),
+    "cxcdyn menger check --mode translate --points 1000 --pairs 5000":
+        (0, "e64de28b731faccc519e3905a93e0ebb12453b63a96e9c5af2941d24716bf190", None),
     "cxcdyn pillow subdivide --a 1/8 --depth 6 --out tiling.svg":
         (0, "7856024a69ee8e1fff2f9962629f4feeb9b83fc10af4676a8a1b3454ec6e07b9",
          "36b69d095b1f8ba20cb40790fb5873df8c9e8afc4b4e109b6b58f35b5b86c939"),
@@ -632,10 +638,13 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("line", _tour_lines() + [
-    ["cxcdyn", "verify", "menger", "--n", "1", "--k", "3", "--depth", "2"]], ids=" ".join)
+    ["cxcdyn", "verify", "menger", "--n", "1", "--k", "3", "--depth", "2"],
+    "cxcdyn menger check --factors 3,27,3 --points 1000 --pairs 2000".split(),
+    "cxcdyn menger check --mode translate --points 1000 --pairs 5000".split()], ids=" ".join)
 def test_tour_outputs_are_pinned(tmp_path, line):
-    """Every README tour line, and a folded-cube verifier run, prints and
-    writes the same bytes as when the table was recorded."""
+    """Every README tour line, a folded-cube verifier run and two folded-cube
+    checks (the CI command, and the translate fold over a second sampler
+    batch) print and write the same bytes as when the table was recorded."""
     assert golden_outputs(line, tmp_path) == GOLDEN[" ".join(line)]
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cxcdyn.menger as menger
+import oracles
 from cxcdyn.menger import (STATUSES, MengerParams, digit_membership, expanding_map,
                            homothety_deviation, membership, membership_array,
                            segment_clears_folds, slice_raster, snowflake_distance,
@@ -175,8 +176,10 @@ def _near_thirds(tol):
                                MengerParams(n=1, k=3, factors=(3, 9, 3)),
                                MengerParams(n=1, k=3, factors=(3, 9, 3), mode="translate"),
                                MengerParams(n=0, k=3, factors=(5, 3, 4))]),
-       depth=st.integers(0, 7), tol=st.sampled_from([1e-9, 1e-6, 0.0]))
+       depth=st.integers(0, 7), tol=st.sampled_from([1e-9, 1e-6, 0.0, -1e-9]))
 def test_membership_array_matches_scalar(data, params, depth, tol):
+    """Also for tol < 0, where the sure window is wider than the possible
+    one and the two counts must be taken independently."""
     coordinate = st.one_of(_near_thirds(tol or 1e-9), st.floats(0.0, 1.0),
                            st.sampled_from([0.0, 1.0, 1 / 3, 2 / 3]))
     points = data.draw(st.lists(st.tuples(*[coordinate] * params.k), min_size=1, max_size=30))
@@ -202,6 +205,33 @@ def test_membership_rejects_points_outside_the_cube(bad):
         membership_array(sponge_params(), np.array([(0.2, 0.2, 0.2), point]), 3)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         digit_membership(sponge_params(), point, 3)
+
+
+@pytest.mark.parametrize("point, verdict", [
+    ((1, 0, 0), ("in", None)),
+    ((2, 0, 0), r"\[0, 1\]"),
+    (("1/6", "1/6", "0"), ("out", 1)),
+    (("1/3", 0, 0), ("in", None)),
+    ((0.5, 0.5, 0.0), ("out", 0)),
+    ((0.5, 0.25, 0.0), ("in", None)),
+    ((Fraction(-1, 3), 0, 0), r"\[0, 1\]"),
+    ((Fraction(4, 3), 0, 0), r"\[0, 1\]"),
+    ((Fraction(0), Fraction(0), Fraction(0)), ("in", None)),
+    ((Fraction(1, 6), Fraction(1, 6), Fraction(0)), ("out", 1)),
+    (("abc", 0, 0), r"\[0, 1\]"),
+    ((math.nan, 0), r"\[0, 1\]"),
+    ((Fraction(-1, 3), 0), "dimension"),
+], ids=repr)
+def test_digit_membership_reads_every_input_type_alike(point, verdict):
+    """Exact Fractions take a shortcut past `Fraction(c)`; ints, strings and
+    floats still go through it, with the same verdicts and errors.  A
+    coordinate that does not convert is reported before the dimension."""
+    if isinstance(verdict, str):
+        with pytest.raises(ValueError, match=verdict):
+            digit_membership(sponge_params(), point, 5)
+    else:
+        got = digit_membership(sponge_params(), point, 5)
+        assert (got.status, got.level) == verdict
 
 
 def test_negative_depth_is_rejected():
@@ -275,29 +305,24 @@ def _clears_folds_exactly(params, x, y):
 
 @pytest.mark.parametrize("factors", [(3, 3, 3), (3, 9, 3), (3, 27, 3), (3, 9, 9),
                                      (3, 2**19, 3), (2**19, 2**19, 4), (4, 5, 6)])
-def test_sampled_pairs_are_admissible(monkeypatch, factors):
+def test_sampled_pairs_are_admissible(factors):
     """Every pair the sampler keeps lies on the 2^-20 grid, closer than
     1/(2 max f) in the snowflake metric and clear of the folds, also for
-    factors whose folds pass through half of the grid points."""
+    factors whose folds pass through half of the grid points.  The distance
+    it keeps with each pair is the scalar one, to the last bit."""
     params = MengerParams(n=1, k=3, factors=factors)
-    mapped = []
-    real_map = menger.expanding_map
-
-    def spy(params, x):
-        mapped.append(tuple(x))
-        return real_map(params, x)
-
-    monkeypatch.setattr(menger, "expanding_map", spy)
     assert homothety_deviation(params, pairs=2000, seed=5) <= 1e-12
-    pairs = list(zip(mapped[0::2], mapped[1::2]))
-    assert len(pairs) == 2000
+    kept = [(tuple(x), tuple(y), d)
+            for xs, ys, ds in menger._admissible_pairs(params, 2000, np.random.default_rng(5))
+            for x, y, d in zip(xs.tolist(), ys.tolist(), ds.tolist())]
+    assert len(kept) == 2000
     bound = 1.0 / (2.0 * max(factors))
-    for x, y in pairs:
-        assert snowflake_distance(params, x, y) < bound
+    for x, y, d in kept:
+        assert snowflake_distance(params, x, y) == d < bound
         assert _clears_folds_exactly(params, x, y)
         assert all(v * 2**20 == int(v * 2**20) for v in x + y)
     if max(factors) <= 27:  # for 2^19 the snowflake ball holds x alone
-        assert sum(x != y for x, y in pairs) > 1900
+        assert sum(x != y for x, y, _ in kept) > 1900
 
 
 @pytest.mark.parametrize("factors", [(3, 27, 3), (3, 9, 9)])
@@ -306,23 +331,38 @@ def test_homothety_finishes_for_steep_factors(factors):
     assert homothety_deviation(params, pairs=10**4, seed=0) <= 1e-12
 
 
-@pytest.mark.parametrize("check, verdict", [("segment_clears_folds", False),
-                                            ("snowflake_distance", math.inf)])
+# the ids name the scalar check that each array helper runs in bulk
+@pytest.mark.parametrize("check, verdict", [("_clear_rows", False),
+                                            ("_snowflake_rows", math.inf)],
+                         ids=["segment_clears_folds-False", "snowflake_distance-inf"])
 def test_homothety_rejects_and_bounds_its_work(monkeypatch, check, verdict):
     """Each proposal passes through both checks; when none passes, the
     sampler stops after 4 proposals per pair instead of sampling on."""
-    calls = []
+    rows = []
 
-    def rejecting(*args):
-        calls.append(args)
-        if len(calls) > 10**4:
+    def rejecting(params, x, y):
+        rows.append(len(x))
+        if sum(rows) > 10**4:
             raise RuntimeError("the sampler does not stop")
-        return verdict
+        return np.full(len(x), verdict)
 
     monkeypatch.setattr(menger, check, rejecting)
     with pytest.raises(ValueError, match="only 0 of 200 proposals"):
         homothety_deviation(sponge_params(), pairs=50)
-    assert len(calls) == 200
+    assert sum(rows) == 200
+
+
+@pytest.mark.parametrize("pairs", [0, 1, 4096, 4097])
+@pytest.mark.parametrize("mode", ["reflect", "translate"])
+@pytest.mark.parametrize("factors", [(3, 3, 3), (3, 9, 3), (3, 9, 9), (3, 27, 3), (4, 5, 6),
+                                     (3, 2**19, 3)])
+def test_homothety_matches_pair_by_pair_loop(factors, mode, pairs):
+    """The bulk sampler equals the scalar loop bit for bit, on both sides
+    of a batch boundary."""
+    params = MengerParams(n=1, k=3, factors=factors, mode=mode)
+    for seed in (0, 1, 7):
+        assert (homothety_deviation(params, pairs, seed=seed).hex()
+                == oracles.homothety_deviation(params, pairs, seed=seed).hex())
 
 
 def test_homothety_rejects_bad_arguments():
