@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -66,9 +66,10 @@ class AttractorApprox:
         return format(index, f"0{self.depth}b")
 
 
-def attractor_points(lam: complex, depth: int, seed: complex = 0.0) -> AttractorApprox:
-    """Generate the 2^depth address images of the seed (default: the fixed
-    point of the first map)."""
+def _levels(lam: complex, depth: int, seed: complex = 0.0) -> Iterator[np.ndarray]:
+    """Grow the attractor one address bit at a time: yield the level-l
+    points, a view ``pts[:2**l]`` of one buffer, for l = 1..depth.  Growing
+    the next level rewrites the view, so read it before advancing."""
     lam = _check_param(lam)
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -83,7 +84,15 @@ def attractor_points(lam: complex, depth: int, seed: complex = 0.0) -> Attractor
         np.multiply(lam, low, out=high)
         low[:] = high
         high += 1.0
-    return AttractorApprox(lam=lam, depth=depth, seed=complex(seed), points=pts)
+        yield pts[:2 << level]
+
+
+def attractor_points(lam: complex, depth: int, seed: complex = 0.0) -> AttractorApprox:
+    """Generate the 2^depth address images of the seed (default: the fixed
+    point of the first map)."""
+    for points in _levels(lam, depth, seed):
+        pass
+    return AttractorApprox(lam=complex(lam), depth=depth, seed=complex(seed), points=points)
 
 
 @dataclass(frozen=True)
@@ -97,44 +106,58 @@ class OverlapReport:
     verdict: str  # plausible | rejected | inconclusive
 
 
-def _close_pair_midpoints(approx: AttractorApprox, tol: float) -> np.ndarray:
-    """Midpoints of the pairs (p, q), p from the 0-half and q from the
-    1-half, with dx*dx + dy*dy <= tol*tol, ordered by p's index, then q's.
+# pairs per block of the midpoint fill, which bounds its temporaries
+_MIDPOINT_CHUNK = 1 << 16
 
-    A walk down the address tree.  The points under a prefix w of length l
-    are F_w(z) = F_w(0) + lam^l z, and z = sum_k v_k lam^k over the suffix
-    bits lies within 1/(2 - 2|lam|) of c = sum_k lam^k / 2.  So two nodes
-    hold a pair within tol only if their anchors F_w(0) (addresses w0...0)
-    lie within tol + r_l, r_l = |lam|^l / (1 - |lam|), plus a slack of
-    1e-9 * (1 + 1/(1 - |lam|)) for rounding in the stored points.  Leaves
-    take the scan's test on the same floats; an overflowing tol*tol keeps all.
+
+def _close_pairs(lam: complex, depth: int, tol: float) -> tuple[np.ndarray, AttractorApprox | None]:
+    """Midpoints of the pairs (p, q), p from the 0-half and q from the
+    1-half of the depth-m attractor grown from seed 0, with
+    dx*dx + dy*dy <= tol*tol, ordered by p's index, then q's; and that
+    attractor, or None when no pair is left.
+
+    A walk down the address tree, grown along with the attractor.  The
+    points under a prefix w of length l are F_w(0) + lam^l z, and
+    z = sum_k v_k lam^k over the suffix bits lies within 1/(2 - 2|lam|) of
+    c = sum_k lam^k / 2.  So two nodes hold a pair within tol only if their
+    anchors F_w(0), the level-l points w, lie within tol + r_l,
+    r_l = |lam|^l / (1 - |lam|), plus a slack of 1e-9 * (1 + 1/(1 - |lam|))
+    for rounding in the stored points.  Leaves take the scan's test on the
+    same floats; an overflowing tol*tol keeps all.  The walk stops at the
+    first level where no pair survives, before growing the deeper levels.
     """
-    assert approx.seed == 0, "the node radii hold for attractors grown from seed 0"
-    depth, points, r = approx.depth, approx.points, abs(approx.lam)
-    x, y = np.ascontiguousarray(points.real), np.ascontiguousarray(points.imag)
+    lam = _check_param(lam)
+    r = abs(lam)
     slack = 1e-9 * (1.0 + 1.0 / (1.0 - r))
-    # node pairs by their anchors' indices, below 2^24 by the depth cap
-    i = j = np.zeros(1, dtype=np.int32)
-    for level in range(1, depth + 1):
-        step = 1 << (depth - level)
+    # node pairs by level-l index, below 2^24 by the depth cap; the children
+    # of node k are 2k and 2k + 1, the level-(l+1) points points[0::2][k]
+    # and points[1::2][k]
+    a = b = np.zeros(1, dtype=np.int32)
+    for level, points in enumerate(_levels(lam, depth), 1):
         bound = tol + r**level / (1.0 - r) + slack if level < depth else tol
         kept = []
         # the first level pairs the two halves; each offset is filtered alone
-        for di, dj in [(0, step)] if level == 1 else [(0, 0), (0, step), (step, 0), (step, step)]:
-            ci, cj = i + di, j + dj
-            dx, dy = x[ci] - x[cj], y[ci] - y[cj]
-            keep = dx * dx + dy * dy <= bound * bound
-            kept.append((ci[keep], cj[keep]))
-        i, j = (np.concatenate(side) for side in zip(*kept))
-    # sort by one int64 key, then take 0.5 * (p + q) in place
-    key = i.astype(np.int64) << depth | j
-    del i, j, kept, ci, cj, dx, dy, keep  # the walk's arrays, before the midpoints
+        for da, db in [(0, 1)] if level == 1 else [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            d = points[da::2][a]
+            d -= points[db::2][b]
+            keep = d.real * d.real + d.imag * d.imag <= bound * bound
+            del d  # before the next gather: d is the walk's largest array
+            kept.append((2 * a[keep] + da, 2 * b[keep] + db))
+        a, b = (np.concatenate(side) for side in zip(*kept))
+        del kept  # its pieces duplicate a and b
+        if len(a) == 0:
+            return np.empty(0, dtype=complex), None
+    # sort by one int64 key, then fill 0.5 * (p + q) a block at a time
+    key = a.astype(np.int64) << depth | b
+    del a, b  # before the midpoints
     key.sort()
-    midpoints = points[key >> depth]
-    key &= (1 << depth) - 1
-    midpoints += points[key]
-    midpoints *= 0.5
-    return midpoints
+    midpoints = np.empty(len(key), dtype=complex)
+    for start in range(0, len(key), _MIDPOINT_CHUNK):
+        block, out = key[start:start + _MIDPOINT_CHUNK], midpoints[start:start + _MIDPOINT_CHUNK]
+        np.take(points, block >> depth, out=out)
+        out += points[block & ((1 << depth) - 1)]
+        out *= 0.5
+    return midpoints, AttractorApprox(lam=lam, depth=depth, seed=0j, points=points)
 
 
 def overlap_test(lam: complex, depth: int = 14, tol: float | None = None) -> OverlapReport:
@@ -148,8 +171,10 @@ def overlap_test(lam: complex, depth: int = 14, tol: float | None = None) -> Ove
     return _overlap(lam, depth, tol)[0]
 
 
-def _overlap(lam: complex, depth: int, tol: float | None) -> tuple[OverlapReport, AttractorApprox]:
-    """The overlap test and the depth-m attractor it ran on."""
+def _overlap(lam: complex, depth: int,
+             tol: float | None) -> tuple[OverlapReport, AttractorApprox | None]:
+    """The overlap test and the depth-m attractor it ran on, or None when
+    no pair is left."""
     lam = _check_param(lam)
     if depth < 6:
         raise ValueError("depth must be >= 6 so a shallower comparison run exists")
@@ -158,10 +183,8 @@ def _overlap(lam: complex, depth: int, tol: float | None) -> tuple[OverlapReport
     if not 0 <= tol < math.inf:
         raise ValueError("tol must be a finite nonnegative number")
     approx_error = abs(lam) ** depth / (1.0 - abs(lam))
-    approx = attractor_points(lam, depth)
-    deep = _close_pair_midpoints(approx, tol)
-    shallow = _close_pair_midpoints(attractor_points(lam, depth - 4),
-                                    default_tolerance(lam, depth - 4))
+    deep, approx = _close_pairs(lam, depth, tol)
+    shallow, _ = _close_pairs(lam, depth - 4, default_tolerance(lam, depth - 4))
 
     def diameter(cloud: np.ndarray) -> float:
         return float(np.hypot(np.ptp(cloud.real), np.ptp(cloud.imag))) if len(cloud) else 0.0
@@ -219,7 +242,7 @@ class KneadingSeq:
 
 def _nearest_index(approx: AttractorApprox, z: complex) -> int:
     """The first index of least (x - z.x)**2 + (y - z.y)**2, as a scan finds
-    it.  Walks the tree of ``_close_pair_midpoints``: a node's points lie
+    it.  Walks the tree of ``_close_pairs``: a node's points lie
     within r_l of its anchor, which is a point, so a node farther than the
     nearest anchor by r_l and the slack holds none.  NaN keeps every node."""
     depth, points, r = approx.depth, approx.points, abs(approx.lam)

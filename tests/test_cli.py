@@ -586,8 +586,9 @@ def golden_outputs(line, directory):
 
 # Recorded with Python 3.11 and numpy 2.4 before the folded-cube adapter
 # moved to boxes, and the two `menger check` rows with `--points 1000`
-# before the homothety sampler moved to arrays; a different numpy may move a
-# last digit of a float.
+# before the homothety sampler moved to arrays, and the `ifs overlap` and
+# `ifs kneading` rows before the close-pair walk grew the attractor level by
+# level; a different numpy may move a last digit of a float.
 GOLDEN = {
     "cxcdyn graph --graph two_loops.g":
         (0, "c8814d24b8447c01669eddbef7e2591bf2f51205bb696354dd1eea4b640fc9d2", None),
@@ -634,17 +635,31 @@ GOLDEN = {
         (0, "22e0be19eec0b25ed83b88416efc60ca5eb76a7d03e2bba81d895faa9525c453", None),
     "cxcdyn verify menger --n 1 --k 3 --depth 2":
         (0, "a46e16dcf9aa86d1803799bb5e46f04005490dce258756c21ea1327a98515ed2", None),
+    "cxcdyn ifs overlap --lambda 0.606218,0.35 --depth 18":
+        (0, "e95d0548388528f82e0fd3ba2e78bd52d22c2b74d7bc5e3398625d670465435d", None),
+    "cxcdyn ifs overlap --lambda 0.3,0.2 --depth 22":
+        (0, "746a44a87ebf0f876092200c7e0ad98dc592fb1e8b447cdd6ec3b7053c5b01b2", None),
+    "cxcdyn ifs overlap --lambda=-0.7,0.1 --depth 16":
+        (0, "e7fbd03a9e275e7fa5a6907dc20337baeb07b9dfda61187ad5cb4c0797b568f3", None),
+    "cxcdyn ifs kneading --lambda 1/2 --n 64 --depth 22":
+        (0, "d98ba52aa905a1ae17ec5407f7a378c191ff956cfc23539e282796971af23b3a", None),
 }
 
 
 @pytest.mark.parametrize("line", _tour_lines() + [
     ["cxcdyn", "verify", "menger", "--n", "1", "--k", "3", "--depth", "2"],
     "cxcdyn menger check --factors 3,27,3 --points 1000 --pairs 2000".split(),
-    "cxcdyn menger check --mode translate --points 1000 --pairs 5000".split()], ids=" ".join)
+    "cxcdyn menger check --mode translate --points 1000 --pairs 5000".split(),
+    "cxcdyn ifs overlap --lambda 0.606218,0.35 --depth 18".split(),
+    "cxcdyn ifs overlap --lambda 0.3,0.2 --depth 22".split(),
+    "cxcdyn ifs overlap --lambda=-0.7,0.1 --depth 16".split(),
+    "cxcdyn ifs kneading --lambda 1/2 --n 64 --depth 22".split()], ids=" ".join)
 def test_tour_outputs_are_pinned(tmp_path, line):
-    """Every README tour line, a folded-cube verifier run and two folded-cube
+    """Every README tour line, a folded-cube verifier run, two folded-cube
     checks (the CI command, and the translate fold over a second sampler
-    batch) print and write the same bytes as when the table was recorded."""
+    batch), and dendrite overlap and kneading runs (an overlapping, a
+    disjoint and a dense parameter) print and write the same bytes as when
+    the table was recorded."""
     assert golden_outputs(line, tmp_path) == GOLDEN[" ".join(line)]
 
 

@@ -12,7 +12,7 @@ import cxcdyn
 import oracles
 from cxcdyn import dendrite
 from cxcdyn.dendrite import (BranchPointError, ExternalAngle, KneadingSeq, RealQuadratic,
-                             _close_pair_midpoints, _nearest_index, attractor_points,
+                             _close_pairs, _levels, _nearest_index, attractor_points,
                              branched_cover_step, default_tolerance, involution,
                              involution_center, kneading_reference, kneading_sequence,
                              overlap_test)
@@ -105,7 +105,7 @@ def test_overlap_midpoints_involution_invariant():
     lam = 0.5
     depth = 12
     tol = default_tolerance(lam, depth)
-    cloud = _close_pair_midpoints(attractor_points(lam, depth), tol)
+    cloud, _ = _close_pairs(lam, depth, tol)
     flipped = involution(lam, cloud)
     for z in flipped:
         assert np.min(np.abs(cloud - z)) <= tol
@@ -220,10 +220,16 @@ def test_close_pairs_match_all_pairs_oracle(lam, depth, scale):
     # of the centroid, hence every printed digit of candidate_o
     approx = attractor_points(lam, depth)
     tol = 1e308 if scale == 1e308 else scale * default_tolerance(lam, depth)
-    fast = _close_pair_midpoints(approx, tol)
+    fast, grown = _close_pairs(lam, depth, tol)
     oracle = oracles.all_pairs_midpoints(approx, tol)
     assert fast.dtype == oracle.dtype and fast.shape == oracle.shape
     assert (fast == oracle).all()
+    # the walk hands back the attractor it grew, unless no pair was left
+    if len(fast):
+        assert (grown.lam, grown.depth, grown.seed) == (approx.lam, approx.depth, approx.seed)
+        assert grown.points.tobytes() == approx.points.tobytes()
+    else:
+        assert grown is None
     if tol == 1e308:  # tol * tol overflows, so every pair passes
         assert len(fast) == 4 ** (depth - 1)
 
@@ -234,7 +240,7 @@ def test_close_pairs_oracle_on_overlapping_cases(lam, depth):
     # fixed cases with many pairs, including the dyadic ties of lam = 1/2
     approx = attractor_points(lam, depth)
     for tol in (default_tolerance(lam, depth), 0.25 * default_tolerance(lam, depth), 0.0):
-        fast = _close_pair_midpoints(approx, tol)
+        fast, _ = _close_pairs(lam, depth, tol)
         oracle = oracles.all_pairs_midpoints(approx, tol)
         assert fast.shape == oracle.shape and (fast == oracle).all()
 
@@ -274,8 +280,8 @@ def test_nearest_index_on_points_and_ties_at_one_half():
 
 def test_kneading_builds_the_attractor_once(monkeypatch):
     built = []
-    real = dendrite.attractor_points
-    monkeypatch.setattr(dendrite, "attractor_points",
+    real = dendrite._levels
+    monkeypatch.setattr(dendrite, "_levels",
                         lambda lam, depth, *rest: built.append(depth) or real(lam, depth, *rest))
     assert kneading_sequence(0.5, 8, depth=12).symbols == "10000000"
     assert sorted(built) == [8, 12]  # the shallow comparison run and the lookups'
@@ -296,3 +302,38 @@ def test_overlap_rejects_negative_or_nan_tolerance():
     for tol in (-0.05, float("nan")):
         with pytest.raises(ValueError, match="tol"):
             overlap_test(0.5, 8, tol=tol)
+
+
+def test_overlap_depth_is_capped():
+    with pytest.raises(ValueError, match="capped at 24"):
+        overlap_test(0.3 + 0.2j, 25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parameters(), st.integers(1, 12))
+def test_levels_are_the_shallower_attractors(lam, depth):
+    # each level is read before the next one rewrites it
+    views = [level.copy() for level in _levels(lam, depth)]
+    assert len(views) == depth
+    for level, view in enumerate(views, 1):
+        expected = attractor_points(lam, level).points
+        assert view.dtype == expected.dtype
+        assert (view.view(np.uint64) == expected.view(np.uint64)).all()
+
+
+def test_disjoint_overlap_stops_before_the_deep_levels():
+    # the halves of lam = 0.3+0.2j lose every node pair a few levels down,
+    # so the walk never writes most of the 256-MB depth-24 buffer.  The peak
+    # is VmHWM, the high-water mark of the interpreter's own address space:
+    # ru_maxrss would start from the size of the process that forked it
+    src = str(Path(cxcdyn.__file__).resolve().parents[1])
+    code = ("from cxcdyn.dendrite import overlap_test\n"
+            "report = overlap_test(0.3 + 0.2j, 24)\n"
+            "print(report.pair_count, report.verdict)\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "           if line.startswith('VmHWM:')))\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    verdict, peak_kb = result.stdout.splitlines()
+    assert verdict == "0 rejected"
+    assert int(peak_kb) < 100 * 1024
