@@ -228,13 +228,11 @@ def _cmd_menger(args) -> int:
     comparable = np.flatnonzero(status != menger.STATUSES.index("boundary_unknown"))
     disagreements = None  # no exact oracle outside the all-3 reflect case
     if menger.digit_oracle_covers(params):
-        disagreements = 0
-        for i in comparable:
-            exact = menger.digit_membership(
-                params, [Fraction(int(num), 3**8) for num in numerators[i]], args.depth)
-            if (exact.status != menger.STATUSES[status[i]]
-                    or exact.status == "out" and exact.level != levels[i]):
-                disagreements += 1
+        exact, exact_levels = menger.digit_membership_array(
+            params, numerators[comparable], 3**8, args.depth)
+        status, levels = status[comparable], levels[comparable]
+        disagreements = int(np.count_nonzero(
+            (exact != status) | (exact == menger.STATUSES.index("out")) & (exact_levels != levels)))
     dev_basic = menger.homothety_deviation(params, pairs=args.pairs, seed=args.seed)
     payload = {"points": args.points, "disagreements": disagreements,
                "boundary_unknown": args.points - len(comparable),

@@ -213,6 +213,44 @@ def digit_membership(params: MengerParams, x: Sequence[Fraction], depth: int) ->
     return Membership(status="in")
 
 
+def digit_membership_array(params: MengerParams, numerators: np.ndarray, denominator: int,
+                           depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """`digit_membership` for an (N, k) array of points numerators / denominator.
+
+    Returns status codes (indices into STATUSES: "in" or "out") and levels,
+    -1 where the point is in, like `membership_array`.  The window test needs
+    no lowest terms: over a common factor g, r = 3^l p mod q becomes g r, and
+    q < 3r < 2q holds exactly when g q < 3 g r < 2 g q does.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if not digit_oracle_covers(params):
+        raise ValueError("digit oracle only covers the all-3 reflect case")
+    rests = np.asarray(numerators)
+    if rests.dtype.kind not in "iu":
+        raise ValueError("numerators must be integers")
+    rests = rests.astype(np.int64)
+    if rests.ndim != 2 or rests.shape[1] != params.k:
+        raise ValueError("point dimension mismatch")
+    if not 0 < denominator <= np.iinfo(np.int64).max // 3:
+        raise ValueError("denominator must be positive and leave 3 * denominator in int64")
+    if not np.all((rests >= 0) & (rests <= denominator)):
+        raise ValueError("coordinates must lie in [0, 1]")
+    need = params.n + 1
+    status = np.zeros(len(rests), dtype=np.int8)
+    levels = np.full(len(rests), -1)
+    live = np.arange(len(rests))
+    rests %= denominator
+    for level in range(depth + 1):
+        rests *= 3
+        out = ((denominator < rests) & (rests < 2 * denominator)).sum(axis=1) >= need
+        status[live[out]] = STATUSES.index("out")
+        levels[live[out]] = level
+        live, rests = live[~out], rests[~out]
+        rests %= denominator
+    return status, levels
+
+
 def snowflake_distance(params: MengerParams, x: Sequence[float], y: Sequence[float]) -> float:
     """Max over coordinates of |x_i - y_i| raised to log 3 / log factor_i."""
     if len(x) != params.k or len(y) != params.k:

@@ -12,8 +12,12 @@ of doubling, each image placed in the fundamental rectangle wholesale.
 The pullback runs on integer numerators (X, Y) over one denominator
 S = den(a) * 2^(2 depth + 2) per tiling.  Every division in it is checked, and
 one that is not exact raises ``LatticeError`` naming a and the depth; nothing
-is rounded.  ``Fraction`` is left at the boundary: the parameter, and ``Tile``
-and ``Tiling``, whose coordinates are each built once as Fraction(X, S).
+is rounded.  ``Tiling`` keeps the numerators, one tuple per lattice point
+shared by the tiles and the skeleton edges of every level (only the copies of
+boundary edges on their identified side get their own).  The centroid order,
+the total area and ``render.tiling_svg`` read them directly.  ``Fraction`` is left at the
+boundary: the parameter, and the ``Tiling.cells`` and ``Tiling.skeleton``
+views, built on first access with each coordinate once as Fraction(X, S).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 from .core import (HALF, Lattice, LatticePoint, RatLike, _lattice_map, check_parameter,
@@ -38,8 +43,9 @@ def _closed(verts: Sequence) -> Iterator:
     return zip(verts, verts[1:] + verts[:1])
 
 
-def _centroid(verts: Sequence) -> tuple[Fraction, Fraction]:
-    """Area centroid of a polygon, from Fraction or integer coordinates."""
+def _centroid_sums(verts: Sequence) -> tuple:
+    """Twice the signed area s of a polygon and the sums (cx, cy) that put its
+    area centroid at (cx / 3s, cy / 3s), from Fraction or integer coordinates."""
     signed = cx = cy = 0
     for (x1, y1), (x2, y2) in _closed(verts):
         w = x1 * y2 - x2 * y1
@@ -48,7 +54,36 @@ def _centroid(verts: Sequence) -> tuple[Fraction, Fraction]:
         cy += (y1 + y2) * w
     if signed == 0:
         raise ValueError("degenerate tile")
+    return signed, cx, cy
+
+
+def _centroid(verts: Sequence) -> tuple[Fraction, Fraction]:
+    """Area centroid of a polygon, from Fraction or integer coordinates."""
+    signed, cx, cy = _centroid_sums(verts)
     return (Fraction(cx, 3 * signed), Fraction(cy, 3 * signed))
+
+
+def _centroid_key(scale: int):
+    """A sort key on integer tiles over the denominator ``scale`` that orders
+    them exactly as their ``Fraction`` centroids, ties included.
+
+    A tile lies in the fundamental rectangle of area scale^2 / 2, so a
+    centroid coordinate is c / 3s with 0 < |s| <= scale^2.  Two distinct ones
+    differ by at least 1 / 9 scale^4, so floor(c / 3s * 9 scale^4), which is
+    3 scale^4 c // s, keeps their order, and equal ones stay equal."""
+    lift = 3 * scale ** 4
+
+    def key(tile: tuple) -> tuple[int, int]:
+        signed, cx, cy = _centroid_sums(tile[0])
+        return (lift * cx // signed, lift * cy // signed)
+
+    return key
+
+
+def _twice_area(verts: Sequence[LatticePoint]) -> int:
+    """Twice the area of a polygon with integer vertices (the shoelace sum)."""
+    xs, ys = zip(*verts)
+    return abs(sum(map(mul, xs, ys[1:] + ys[:1])) - sum(map(mul, xs[1:] + xs[:1], ys)))
 
 
 class _Pullback(Lattice):
@@ -71,14 +106,16 @@ class _Pullback(Lattice):
             return [(p, q)]
         (px, py), (qx, qy) = p, q
         dx, dy = qx - px, qy - py
-        knots = {p, q}
+        cuts = set()
         for av, bv, cv in lines:
             num, den = cv - av * px - bv * py, av * dx + bv * dy
             if den < 0:
                 num, den = -num, -den
             if 0 < num < den:
-                knots.add((px + self.exact(num * dx, den), py + self.exact(num * dy, den)))
-        ordered = sorted(knots, key=lambda k: (k[0] - px) * dx + (k[1] - py) * dy)
+                cuts.add((px + self.exact(num * dx, den), py + self.exact(num * dy, den)))
+        if not cuts:
+            return [(p, q)]
+        ordered = [p, *sorted(cuts, key=lambda k: (k[0] - px) * dx + (k[1] - py) * dy), q]
         return list(zip(ordered, ordered[1:]))
 
     def shuffle_back(self, p: LatticePoint,
@@ -208,19 +245,53 @@ def skeleton_forward_invariance(a: RatLike) -> bool:
     return True
 
 
+LatticeTile = tuple[tuple[LatticePoint, ...], int]  # vertex numerators, face
+LatticeSegment = tuple[LatticePoint, LatticePoint]
+
+
 @dataclass(frozen=True)
 class Tiling:
+    """The depth-``depth`` tiling on the lattice (1/scale)Z^2: ``tiles`` holds
+    each tile's vertex numerators and face in centroid order, and ``edges``
+    level k the numerators of the edges of the depth-k tiles.  ``cells`` and
+    ``skeleton`` are the same tiles and edges in ``Fraction`` coordinates."""
     a: Fraction
     depth: int
-    cells: tuple[Tile, ...]
-    skeleton: tuple[tuple[Segment, ...], ...]  # level k: the edges of the depth-k tiles
+    scale: int
+    tiles: tuple[LatticeTile, ...]
+    edges: tuple[tuple[LatticeSegment, ...], ...]
 
     @property
     def tile_count(self) -> int:
-        return len(self.cells)
+        return len(self.tiles)
 
     def total_area(self) -> Fraction:
-        return sum((t.area() for t in self.cells), Fraction(0))
+        return Fraction(sum(_twice_area(verts) for verts, _ in self.tiles), 2 * self.scale ** 2)
+
+    @functools.cached_property
+    def cells(self) -> tuple[Tile, ...]:
+        fr = self._fraction
+        return tuple(Tile(vertices=tuple((fr(x), fr(y)) for x, y in verts), face=face)
+                     for verts, face in self.tiles)
+
+    @functools.cached_property
+    def skeleton(self) -> tuple[tuple[Segment, ...], ...]:
+        """Level k: the edges of the depth-k tiles."""
+        fr = self._fraction
+        return tuple(tuple(((fr(px), fr(py)), (fr(qx), fr(qy))) for (px, py), (qx, qy) in level)
+                     for level in self.edges)
+
+    @functools.cached_property
+    def _fraction(self):
+        return functools.cache(functools.partial(Fraction, denominator=self.scale))
+
+
+class _Shared(dict):
+    """Each lattice point once: the first of equal tuples stands for all."""
+
+    def __missing__(self, point: LatticePoint) -> LatticePoint:
+        self[point] = point
+        return point
 
 
 def subdivide(a: RatLike, depth: int) -> Tiling:
@@ -241,18 +312,16 @@ def subdivide(a: RatLike, depth: int) -> Tiling:
     if not skeleton_forward_invariance(a):
         raise RuntimeError("skeleton is not forward invariant; pullback is not a subdivision")
     pullback = _Pullback(a, a.denominator << (2 * depth + 2), depth)
-    fr = functools.cache(functools.partial(Fraction, denominator=pullback.scale))
-    tiles = [(tuple((pullback.numerator(x), pullback.numerator(y)) for x, y in t.vertices), t.face)
-             for t in base_faces()]
-    levels = [base_skeleton()]
+    share = _Shared().__getitem__
+    tiles = [(tuple(share((pullback.numerator(x), pullback.numerator(y))) for x, y in t.vertices),
+              t.face) for t in base_faces()]
+    levels = [tuple(tuple(share((pullback.numerator(x), pullback.numerator(y))) for x, y in edge)
+                    for edge in base_skeleton())]
     for _ in range(depth):
-        tiles = [(child, face) for verts, face in tiles
+        tiles = [(tuple(map(share, child)), face) for verts, face in tiles
                  for child in pullback.tile_preimages(verts)]
-        edges = {_normalize_segment(p, q, pullback.half) for verts, _ in tiles
-                 for p, q in _closed(verts)}
-        levels.append(tuple(((fr(px), fr(py)), (fr(qx), fr(qy)))
-                            for (px, py), (qx, qy) in sorted(edges)))
-    tiles.sort(key=lambda tile: _centroid(tile[0]))
-    cells = tuple(Tile(vertices=tuple((fr(x), fr(y)) for x, y in verts), face=face)
-                  for verts, face in tiles)
-    return Tiling(a=a, depth=depth, cells=cells, skeleton=tuple(levels))
+        levels.append(tuple(sorted({_normalize_segment(p, q, pullback.half)
+                                    for verts, _ in tiles for p, q in _closed(verts)})))
+    tiles.sort(key=_centroid_key(pullback.scale))
+    return Tiling(a=a, depth=depth, scale=pullback.scale, tiles=tuple(tiles),
+                  edges=tuple(levels))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,41 +37,39 @@ def cover_strip_svg(sys: IntervalSystem, depth: int) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _memo_format(convert: Callable[[float], float]) -> Callable[[Fraction], str]:
-    """``convert(float(value))`` to three decimals, each distinct value once,
-    keyed by its numerator and denominator (cheaper to hash than a Fraction)."""
-    table: dict[tuple[int, int], str] = {}
+class _Memo(dict):
+    """``text(value)`` for each distinct value once, then a dict lookup."""
 
-    def text(value: Fraction) -> str:
-        key = (value.numerator, value.denominator)
-        out = table.get(key)
-        if out is None:
-            out = table[key] = f"{convert(float(value)):.3f}"
+    def __init__(self, text: Callable[[int], str]):
+        super().__init__()
+        self.text = text
+
+    def __missing__(self, value: int) -> str:
+        out = self[value] = self.text(value)
         return out
-
-    return text
 
 
 def tiling_svg(tiling: Tiling) -> str:
-    scale = 800
-    width, height = scale // 2, scale
-    # fundamental rectangle [0,1/2] x [-1/2,1/2]; SVG y axis points down
-    sx = _memo_format(lambda x: x * scale)
-    sy = _memo_format(lambda y: (0.5 - y) * scale)
+    size, scale = 800, tiling.scale
+    width, height = size // 2, size
+    # fundamental rectangle [0,1/2] x [-1/2,1/2]; SVG y axis points down.  The
+    # int quotient X / scale is float(Fraction(X, scale)): both round X / scale once
+    sx = _Memo(lambda x: f"{x / scale * size:.3f}")
+    sy = _Memo(lambda y: f"{(0.5 - y / scale) * size:.3f}")
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">']
-    for tile in tiling.cells:
-        path = "M " + " L ".join(f"{sx(x)} {sy(y)}" for x, y in tile.vertices) + " Z"
-        parts.append(f'  <path d="{path}" fill="{_FACE_FILLS[tile.face]}" '
+    for verts, face in tiling.tiles:
+        path = "M " + " L ".join(f"{sx[x]} {sy[y]}" for x, y in verts) + " Z"
+        parts.append(f'  <path d="{path}" fill="{_FACE_FILLS[face]}" '
                      f'stroke="#555" stroke-width="0.35" />')
-    for level in range(len(tiling.skeleton) - 1, -1, -1):
+    for level in range(len(tiling.edges) - 1, -1, -1):
         stroke = _LEVEL_STROKES[min(level, len(_LEVEL_STROKES) - 1)]
         width_px = max(2.4 - 0.3 * level, 0.5)
-        for (p, q) in tiling.skeleton[level]:
-            parts.append(f'  <line x1="{sx(p[0])}" y1="{sy(p[1])}" x2="{sx(q[0])}" '
-                         f'y2="{sy(q[1])}" stroke="{stroke}" stroke-width="{width_px}" />')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        for (px, py), (qx, qy) in tiling.edges[level]:
+            parts.append(f'  <line x1="{sx[px]}" y1="{sy[py]}" x2="{sx[qx]}" '
+                         f'y2="{sy[qy]}" stroke="{stroke}" stroke-width="{width_px}" />')
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def write_pgm(img: np.ndarray, path: str) -> None:

@@ -566,15 +566,25 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# the graph files of the README tour and of the workflow's `dim --tol 1e-300` runs
+GOLDEN_GRAPHS = {
+    "two_loops.g": TWO_LOOPS,
+    "23.g": "vertices 1\nedge 1 1 2\nedge 1 1 3\n",
+    "tied.g": ("vertices 3\nedge 1 3 4\nedge 1 3 5\nedge 2 1 4\nedge 2 1 4\n"
+               "edge 3 2 4\nedge 3 2 4\n"),
+}
+
+
 def golden_outputs(line, directory):
     """Run one `cxcdyn ...` line through `main` in ``directory``, next to
-    the README's `two_loops.g`: its exit code, the sha256 of its stdout and
-    of its `--out` file (None without one)."""
+    the graph files of ``GOLDEN_GRAPHS``: its exit code, the sha256 of its
+    stdout and of its `--out` file (None without one)."""
     argv = line[1:]
     cwd = os.getcwd()
     os.chdir(directory)
     try:
-        Path("two_loops.g").write_text(TWO_LOOPS)
+        for name, text in GOLDEN_GRAPHS.items():
+            Path(name).write_text(text)
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = main(argv)
@@ -588,7 +598,10 @@ def golden_outputs(line, directory):
 # moved to boxes, and the two `menger check` rows with `--points 1000`
 # before the homothety sampler moved to arrays, and the `ifs overlap` and
 # `ifs kneading` rows before the close-pair walk grew the attractor level by
-# level; a different numpy may move a last digit of a float.
+# level, and the `pillow subdivide` depth-4 and depth-5 rows and the
+# workflow's `obstruct`, `dim --tol 1e-300` and `menger slice` rows before
+# the tiling kept its coordinates on integers; a different numpy may move a
+# last digit of a float.
 GOLDEN = {
     "cxcdyn graph --graph two_loops.g":
         (0, "c8814d24b8447c01669eddbef7e2591bf2f51205bb696354dd1eea4b640fc9d2", None),
@@ -643,6 +656,39 @@ GOLDEN = {
         (0, "e7fbd03a9e275e7fa5a6907dc20337baeb07b9dfda61187ad5cb4c0797b568f3", None),
     "cxcdyn ifs kneading --lambda 1/2 --n 64 --depth 22":
         (0, "d98ba52aa905a1ae17ec5407f7a378c191ff956cfc23539e282796971af23b3a", None),
+    "cxcdyn pillow subdivide --a 0 --depth 4 --out t.svg":
+        (0, "c9cefbec88be3b6d6d7a32694fd10e5a70615cdd48f0036ece97c6242bee98f1",
+         "d0666d1f01d2f9f496263ddcb6dcbe3529c4dc58dda1d44d148f211ef9ecb871"),
+    "cxcdyn pillow subdivide --a 0 --depth 5 --out t.svg":
+        (0, "35a7c2f4f7876c061670b6d36508d72cb75627c8d9ff8af6f0244becdce84c33",
+         "beb97f738d11f177b7728d69d9fe7b63eab99e8cb5d8c05035bceefdc1851267"),
+    "cxcdyn pillow subdivide --a 1/64 --depth 4 --out t.svg":
+        (0, "2d9d87a63cdc6e7f74ec53439dacece7df5f6491c2d9bb4b4986ec0dcff16791",
+         "252fc82c56864875859591e0c86d9f3f9b04e3d1fb24e2cd74d326bd01b25afb"),
+    "cxcdyn pillow subdivide --a 1/64 --depth 5 --out t.svg":
+        (0, "c4ba33395d36c5431ec46105994ff9dd62a2efa316af1e6c7ac27ff2fa1632d6",
+         "0c7e834c21d4278b63f6fa5e76bcfa72390bac63429d00a26eb7d34d22416388"),
+    "cxcdyn pillow subdivide --a 3/40 --depth 4 --out t.svg":
+        (0, "662cf8a0bfb52b5c6bb4005920f83997a456fa9ff3dcb624bebc663a44890dee",
+         "d75d516d243adde8876bde028967a1fd633a71493afbae3eb97a5979080e7d91"),
+    "cxcdyn pillow subdivide --a 3/40 --depth 5 --out t.svg":
+        (0, "d0b13a75cd195c949b9adba35881512bee6ffd13270adec89749fa20a0ad61dd",
+         "8e51303e4e57393d20fada11e1b6db86e2ebd03d7923573df15201f77e551bd3"),
+    "cxcdyn pillow subdivide --a 1/8 --depth 4 --out t.svg":
+        (0, "5db25b18c34d447d7d220ee91aa5d5b633c28df53871bacf627c211c01856bcc",
+         "3e1d15f9a1a867e69b224a3c658778837057d19aff469334ae0a5ca939b287db"),
+    "cxcdyn pillow subdivide --a 1/8 --depth 5 --out t.svg":
+        (0, "5b27ba5dc0bb73dafb57c129f884f6da76e4af497930f9482e5ae9c8e1609026",
+         "49b802de225bb5b919e641d12e7b0d073add920838a6295a74b87cccde74a2bd"),
+    "cxcdyn pillow obstruct --a 5/97":
+        (0, "cc4e1f88833b451e8a4985cd7290d5ed88ce3f86d381ba6b45fb11dfe3eb9c14", None),
+    "cxcdyn dim --graph 23.g --tol 1e-300":
+        (0, "c3d02bbbb61a4557950ccf3f017dbe71d78c0e945cfb73984e1204f3d1b833e1", None),
+    "cxcdyn dim --graph tied.g --tol 1e-300":
+        (0, "216b3beee9e7b16da1df2e339001c2352a8586a75ff7720583365cb966db571e", None),
+    "cxcdyn menger slice --depth 5 --resolution 243 --out s.pgm":
+        (0, "be65d894084e28fbc2897513decdeef78631a61264246f0047c1dfa61fb2ead7",
+         "d03a0fe69bdbb12755857160d62a3bbf3d5f753a9de3774409953d123e86610a"),
 }
 
 
@@ -653,13 +699,20 @@ GOLDEN = {
     "cxcdyn ifs overlap --lambda 0.606218,0.35 --depth 18".split(),
     "cxcdyn ifs overlap --lambda 0.3,0.2 --depth 22".split(),
     "cxcdyn ifs overlap --lambda=-0.7,0.1 --depth 16".split(),
-    "cxcdyn ifs kneading --lambda 1/2 --n 64 --depth 22".split()], ids=" ".join)
+    "cxcdyn ifs kneading --lambda 1/2 --n 64 --depth 22".split()]
+    + [f"cxcdyn pillow subdivide --a {a} --depth {depth} --out t.svg".split()
+       for a in ("0", "1/64", "3/40", "1/8") for depth in (4, 5)] + [
+    "cxcdyn pillow obstruct --a 5/97".split(),
+    "cxcdyn dim --graph 23.g --tol 1e-300".split(),
+    "cxcdyn dim --graph tied.g --tol 1e-300".split(),
+    "cxcdyn menger slice --depth 5 --resolution 243 --out s.pgm".split()], ids=" ".join)
 def test_tour_outputs_are_pinned(tmp_path, line):
     """Every README tour line, a folded-cube verifier run, two folded-cube
     checks (the CI command, and the translate fold over a second sampler
-    batch), and dendrite overlap and kneading runs (an overlapping, a
-    disjoint and a dense parameter) print and write the same bytes as when
-    the table was recorded."""
+    batch), dendrite overlap and kneading runs (an overlapping, a disjoint
+    and a dense parameter), tilings at four parameters, and the workflow's
+    sub-second `obstruct`, `dim` and `menger slice` runs print and write the
+    same bytes as when the table was recorded."""
     assert golden_outputs(line, tmp_path) == GOLDEN[" ".join(line)]
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import cxcdyn.menger as menger
 import oracles
-from cxcdyn.menger import (STATUSES, MengerParams, digit_membership, expanding_map,
-                           homothety_deviation, membership, membership_array,
+from cxcdyn.menger import (STATUSES, MengerParams, digit_membership, digit_membership_array,
+                           expanding_map, homothety_deviation, membership, membership_array,
                            segment_clears_folds, slice_raster, snowflake_distance,
                            sponge_params)
 
@@ -160,6 +160,57 @@ def test_integer_digit_membership_matches_fraction_oracle(n, depth, point):
     params = sponge_params(n=n, k=5)
     exact = digit_membership(params, point, depth)
     assert (exact.status, exact.level) == _fraction_digit_membership(params, point, depth)
+
+
+DEN = 3**8
+_WINDOW_ENDS = [0, DEN // 3, 2 * DEN // 3, DEN]
+
+
+def assert_bulk_digits_match_scalar(params, numerators, denominator, depth):
+    status, levels = digit_membership_array(params, np.array(numerators), denominator, depth)
+    for row, code, level in zip(numerators, status, levels):
+        want = digit_membership(params, [Fraction(int(c), denominator) for c in row], depth)
+        assert (STATUSES[code], None if level < 0 else level) == (want.status, want.level)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), k=st.integers(1, 5), depth=st.integers(0, 10),
+       denominator=st.sampled_from([DEN, 3**5 * 2, 7, 1]))
+def test_digit_membership_array_matches_scalar(data, k, depth, denominator):
+    n = data.draw(st.integers(0, (k - 1) // 2))
+    coordinate = st.one_of(st.integers(0, denominator),
+                           st.sampled_from([c * denominator // DEN for c in _WINDOW_ENDS]))
+    rows = data.draw(st.lists(st.lists(coordinate, min_size=k, max_size=k), min_size=1,
+                              max_size=30))
+    assert_bulk_digits_match_scalar(sponge_params(n=n, k=k), rows, denominator, depth)
+
+
+def test_digit_membership_array_on_the_check_points():
+    """The `menger check` points: seed-1 numerators over 3^8 and every row of
+    window ends 0, 3^8/3, 2 3^8/3 and 3^8."""
+    rng = np.random.default_rng(1)
+    rows = rng.integers(0, DEN, (2000, 3), endpoint=True).tolist()
+    rows += [[a, b, c] for a in _WINDOW_ENDS for b in _WINDOW_ENDS for c in _WINDOW_ENDS]
+    for depth in (0, 5, 9):
+        assert_bulk_digits_match_scalar(sponge_params(), rows, DEN, depth)
+
+
+@pytest.mark.parametrize("args, match", [
+    ((np.zeros((2, 2), dtype=int), DEN, 3), "dimension"),
+    ((np.zeros(3, dtype=int), DEN, 3), "dimension"),
+    ((np.array([[0, 0, DEN + 1]]), DEN, 3), r"\[0, 1\]"),
+    ((np.array([[0, -1, 0]]), DEN, 3), r"\[0, 1\]"),
+    ((np.array([[0.5, 0, 0]]), DEN, 3), "integers"),
+    ((np.zeros((1, 3), dtype=int), 0, 3), "denominator"),
+    ((np.zeros((1, 3), dtype=int), 2**62, 3), "denominator"),
+    ((np.zeros((1, 3), dtype=int), DEN, -1), "depth"),
+])
+def test_digit_membership_array_rejects_bad_input(args, match):
+    with pytest.raises(ValueError, match=match):
+        digit_membership_array(sponge_params(), *args)
+    with pytest.raises(ValueError, match="all-3 reflect"):
+        digit_membership_array(sponge_params(mode="translate"), np.zeros((1, 3), dtype=int),
+                               DEN, 3)
 
 
 def _near_thirds(tol):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -212,9 +213,15 @@ def _atlas(a):
     return regions, split_lines(regions)
 
 
+def fraction_view(tiling):
+    """What a tiling shows in Fraction coordinates: (a, depth, cells, skeleton)."""
+    return (tiling.a, tiling.depth, tiling.cells, tiling.skeleton)
+
+
 def fraction_subdivide(a, depth):
     """``subdivide`` in Fraction arithmetic: the tiles pulled back ``depth``
-    times, skeleton level k the sorted edge set of the depth-k tiles."""
+    times, skeleton level k the sorted edge set of the depth-k tiles, as
+    (a, depth, cells, skeleton)."""
     a = check_parameter(a)
     regions, lines = _atlas(a)
     tiles, levels = list(base_faces()), [base_skeleton()]
@@ -224,20 +231,91 @@ def fraction_subdivide(a, depth):
                  for p, q in zip(t.vertices, t.vertices[1:] + t.vertices[:1])}
         levels.append(tuple(sorted(edges)))
     cells = tuple(sorted(tiles, key=lambda t: t.centroid()))
-    return Tiling(a=a, depth=depth, cells=cells, skeleton=tuple(levels))
+    return (a, depth, cells, tuple(levels))
 
 
 # the parameters of the pillow benchmark: p/q in [1/16, 1/8] with q prime
 PRIMES = [q for q in range(17, 98) if all(q % k for k in range(2, q))]
 benchmark_parameters = st.sampled_from(PRIMES).flatmap(
     lambda q: st.integers(-(-q // 16), q // 8).map(lambda p: F(p, q)))
+tiling_parameters = st.one_of(st.sampled_from([F(0), F(1, 64), F(1, 8)]), benchmark_parameters)
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.one_of(st.sampled_from([F(0), F(1, 64), F(1, 8)]), benchmark_parameters),
-       st.integers(0, 3))
+@given(tiling_parameters, st.integers(0, 3))
 def test_integer_subdivide_matches_fraction_oracle(a, depth):
-    assert subdivide(a, depth) == fraction_subdivide(a, depth)
+    assert fraction_view(subdivide(a, depth)) == fraction_subdivide(a, depth)
+
+
+def assert_orders_alike(keys, centroids):
+    """``keys`` order the items exactly as ``centroids`` do, ties included."""
+    order = sorted(range(len(keys)), key=centroids.__getitem__)
+    for i, j in zip(order, order[1:]):
+        assert (keys[i] < keys[j]) == (centroids[i] < centroids[j])
+        assert (keys[i] == keys[j]) == (centroids[i] == centroids[j])
+
+
+@settings(max_examples=25, deadline=None)
+@given(tiling_parameters, st.integers(0, 3))
+def test_integer_centroid_key_orders_like_the_fraction_centroid(a, depth):
+    tiled = subdivide(a, depth)
+    key = tiling._centroid_key(tiled.scale)
+    assert_orders_alike([key(tile) for tile in tiled.tiles],
+                        [tile.centroid() for tile in tiled.cells])
+
+
+def star_polygon(points):
+    """The points in angular order about their mean: a star-shaped polygon."""
+    mx, my = sum(x for x, _ in points) / len(points), sum(y for _, y in points) / len(points)
+    return tuple(sorted(points, key=lambda p: math.atan2(p[1] - my, p[0] - mx)))
+
+
+@pytest.mark.parametrize("scale", [4, 6])
+def test_integer_centroid_key_keeps_ties_and_near_ties(scale):
+    """Every quadrilateral on the lattice (1/scale)Z^2 of the fundamental
+    rectangle, in both orientations: its centroid has denominator up to 3s,
+    and centroids that coincide or nearly do occur far more often than among
+    tiles."""
+    grid = [(x, y) for x in range(scale // 2 + 1) for y in range(-scale // 2, scale // 2 + 1)]
+    quads = [q for q in map(star_polygon, itertools.combinations(grid, 4))
+             if tiling._twice_area(q)]
+    quads += [q[::-1] for q in quads]
+    key = tiling._centroid_key(scale)
+    assert_orders_alike([key((q, 0)) for q in quads], [tiling._centroid(q) for q in quads])
+
+
+def test_integer_centroid_key_ties_distinct_tiles_with_one_centroid():
+    big, small = ((0, 0), (4, 0), (4, 4), (0, 4)), ((1, 1), (3, 1), (3, 3), (1, 3))
+    key = tiling._centroid_key(8)
+    assert key((big, 0)) == key((small, 1))
+    nudged = ((1, 1), (3, 1), (3, 4), (1, 3))  # the centroid moves right and up
+    assert key((nudged, 0)) > key((big, 0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(tiling_parameters, st.integers(0, 3))
+def test_integer_total_area_is_the_sum_of_tile_areas(a, depth):
+    tiled = subdivide(a, depth)
+    assert tiled.total_area() == sum((t.area() for t in tiled.cells), F(0)) == HALF
+
+
+@pytest.mark.parametrize("a", [F(0), F(3, 40)])
+def test_tiling_keeps_each_lattice_point_once(a):
+    """Tiles and skeleton edges at every level share one tuple per point;
+    only the boundary edges that ``_normalize_segment`` moves to their
+    identified copy hold fresh tuples, fewer than 12 * 2^depth."""
+    tiled = subdivide(a, 3)
+    points = [p for verts, _ in tiled.tiles for p in verts]
+    points += [p for level in tiled.edges for edge in level for p in edge]
+    assert len({id(p) for p in points}) - len(set(points)) < 12 * 2**tiled.depth
+
+
+def test_fraction_views_are_built_once():
+    tiling = subdivide(F(1, 8), 2)
+    assert isinstance(tiling, Tiling)
+    assert tiling.cells is tiling.cells and tiling.skeleton is tiling.skeleton
+    assert len(tiling.cells) == tiling.tile_count
+    assert len(tiling.skeleton) == len(tiling.edges) == 3
 
 
 # --- integer numerators over a shared denominator -----------------------------
@@ -426,9 +504,9 @@ def test_segment_across_the_fold_line_is_split_there(a):
 # --- the skeleton against its own pullback -----------------------------------
 
 def two_pullback_tilings(a, depth):
-    """The tilings of depth 0..depth with every skeleton level pulled back
-    from the level above, segment by segment, instead of read off the tile
-    edges."""
+    """The tilings of depth 0..depth, as (a, depth, cells, skeleton), with
+    every skeleton level pulled back from the level above, segment by
+    segment, instead of read off the tile edges."""
     regions, lines = _atlas(a)
     tiles, levels = list(base_faces()), [base_skeleton()]
     for level in range(depth + 1):
@@ -438,15 +516,16 @@ def two_pullback_tilings(a, depth):
             levels.append(tuple(sorted({child for seg in levels[-1]
                                         for child in segment_pullback(a, seg, regions, lines)})))
         cells = tuple(sorted(tiles, key=lambda t: t.centroid()))
-        yield Tiling(a=a, depth=level, cells=cells, skeleton=tuple(levels))
+        yield (a, level, cells, tuple(levels))
 
 
 @pytest.mark.parametrize("a, depth", [(F(0), 3), (F(1, 64), 3), (F(3, 40), 3), (F(1, 10), 3),
                                       (F(1, 8), 4)])
 def test_skeleton_levels_are_the_pulled_back_skeleton(a, depth):
     for reference in two_pullback_tilings(a, depth):
-        assert subdivide(a, reference.depth) == reference
-        assert fraction_subdivide(a, reference.depth) == reference
+        level = reference[1]
+        assert fraction_view(subdivide(a, level)) == reference
+        assert fraction_subdivide(a, level) == reference
 
 
 # --- the invariance precondition ----------------------------------------------
