@@ -147,7 +147,7 @@ def apply_map(sys: IntervalSystem, p: GDMSPoint) -> GDMSPoint:
     return GDMSPoint(component=b.dst, coordinate=x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cylinder:
     """Points whose first ``len(word)`` steps follow the given edge path.
 
@@ -342,10 +342,26 @@ def box_dimension(sys: IntervalSystem, snowflaked: bool = False,
 _Listing = tuple[str, float, float, float]
 
 
+class _EdgeLabels(dict):
+    """``str(k)`` for each edge index k, made on first use and then looked up."""
+
+    def __missing__(self, k: int) -> str:
+        self[k] = label = str(k)
+        return label
+
+
+_EDGE_LABELS = _EdgeLabels()
+
+
+def _label(word: tuple[int, ...], component: int) -> str:
+    """A cylinder's name in a listing: its word's edge indices joined by
+    dots, or ``base<vertex>`` for a base interval."""
+    return ".".join(map(_EDGE_LABELS.__getitem__, word)) if word else f"base{component}"
+
+
 def cover_rows(cover: Sequence[Cylinder]) -> list[_Listing]:
     """CSV-ready rows (word, left, right, length) for a cover listing."""
-    return [(".".join(map(str, c.word)) if c.word else f"base{c.component}",
-             c.left, c.right, c.length) for c in cover]
+    return [(_label(c.word, c.component), c.left, c.right, c.length) for c in cover]
 
 
 def cover_listing(sys: IntervalSystem, depth: int) -> Iterator[_Listing]:
@@ -356,6 +372,5 @@ def cover_listing(sys: IntervalSystem, depth: int) -> Iterator[_Listing]:
         pass
     if depth > 0:
         rows = _pull_back_rows(_pull_back_table(sys, sys.branches), rows)
-    return ((".".join(map(str, word)) if word else f"base{component}",
-             left, left + length, length)
+    return ((_label(word, component), left, left + length, length)
             for word, component, _, left, length in rows)

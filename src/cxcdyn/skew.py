@@ -7,10 +7,11 @@ with factor d(e): the base part scales by (d(e)^(1/alpha))^alpha = d(e) and
 the circle part by d(e) as long as the circle distance stays below
 1/(2 d(e)), which keeps the shorter arc the shorter arc.
 
-``scaling_deviation`` checks that claim in bulk: its pairs are drawn one by
-one, then mapped and measured as arrays, chunk by chunk, with the scalar
-functions' IEEE operations in their order; only the snowflake powers stay
-scalar, since numpy's vectorised power does not round like libm ``pow``.
+``scaling_deviation`` checks that claim in bulk: each chunk of pairs reads
+the draws of a pair-by-pair loop off the generator's raw words, then maps
+and measures them as arrays with the scalar functions' IEEE operations in
+their order; only the snowflake powers stay scalar, since numpy's vectorised
+power does not round like libm ``pow``.
 """
 
 from __future__ import annotations
@@ -117,6 +118,54 @@ def skew_box_dimension(sys: IntervalSystem, depths: Sequence[int] = tuple(range(
 
 # Pairs are checked this many at a time, so memory does not grow with ``pairs``.
 _CHUNK = 4096
+_LOW = 0xFFFFFFFF
+
+
+def _draws(rng: np.random.Generator, n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The branch indices and the (size, 4) doubles that ``size`` rounds of
+    ``rng.integers(n)`` then ``rng.random(out=row)`` draw, for 1 <= n <= 2**32,
+    read off the generator's raw 64-bit words, with the generator left where
+    those rounds leave it.
+
+    This is numpy's PCG64 layout.  A double is ``(w >> 11) * 2**-53`` of one
+    word.  An index is Lemire's ``(half * n) >> 32`` on a 32-bit half: the
+    low half of a fresh word, whose high half the generator then holds
+    (``has_uint32`` / ``uinteger`` in its state) for the next index; n == 1
+    draws none.  Where Lemire would reject a half and draw again, the chunk
+    is drawn round by round from the saved state instead.
+    """
+    bit_generator = rng.bit_generator
+    if n == 1:
+        return np.zeros(size, np.intp), _doubles(bit_generator.random_raw(4 * size))
+    saved = bit_generator.state
+    held = saved["has_uint32"]
+    # a held half serves round 0 before its four doubles; after it, rounds
+    # come in twos on nine words, a fresh word for both indices and then
+    # eight doubles
+    fresh = np.s_[4 * held::9]
+    words = bit_generator.random_raw(4 * size + (size + 1 - held) // 2)
+    fresh_words = words[fresh]
+    halves = np.empty(1 + 2 * len(fresh_words), np.uint64)
+    halves[0] = saved["uinteger"]
+    halves[1::2] = fresh_words & _LOW
+    halves[2::2] = fresh_words >> 32
+    scaled = halves[1 - held:1 - held + size] * np.uint64(n)
+    if ((scaled & _LOW) < 2**32 % n).any():
+        bit_generator.state = saved
+        index, draws = np.empty(size, np.intp), np.empty((size, 4))
+        for i, row in enumerate(draws):
+            index[i] = rng.integers(n)
+            rng.random(out=row)
+        return index, draws
+    state = bit_generator.state
+    # an unused high half stays held; a used one stays in the register
+    state["has_uint32"], state["uinteger"] = len(halves) - 1 + held - size, int(halves[-1])
+    bit_generator.state = state
+    return (scaled >> 32).astype(np.intp), _doubles(np.delete(words, fresh))
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    return ((words >> 11).astype(float) * 2.0**-53).reshape(-1, 4)
 
 
 def scaling_deviation(sys: IntervalSystem, pairs: int, seed: int = 0) -> float:
@@ -125,18 +174,21 @@ def scaling_deviation(sys: IntervalSystem, pairs: int, seed: int = 0) -> float:
     Samples admissible pairs: both base points in one branch subinterval, and
     circle distance below 1/(2 d(e)).  Should be at floating-point scale.
 
-    The draws are made pair by pair, a branch index and then four doubles
-    (u, v, t, r), so the generator stream is the one a pair-by-pair loop
-    reads.  The rest runs in bulk over chunks of pairs, on per-branch arrays
-    gathered by index, with the IEEE operations of ``skew_map`` and
-    ``skew_distance`` in their order, so the result equals that loop's bit
-    for bit.  The snowflake powers stay scalar Python ``**`` (libm ``pow``),
-    because numpy's vectorised power rounds some of them differently.
+    Each pair draws a branch index and then four doubles (u, v, t, r), in
+    the stream a pair-by-pair loop of ``integers`` and ``random`` reads;
+    ``_draws`` reads a chunk of them at once off the generator's raw words.
+    That stream layout is numpy's PCG64 with Lemire's bounded integers; the
+    tests guard it against the pair-by-pair oracle, and it has been tested
+    with numpy 2.4.6 only.  The rest runs in bulk over the chunk, on
+    per-branch arrays gathered by index, with the IEEE operations of
+    ``skew_map`` and ``skew_distance`` in their order, so the result equals
+    that loop's bit for bit.  The snowflake powers stay scalar Python ``**``
+    (libm ``pow``), because numpy's vectorised power rounds some of them
+    differently.
     """
     if pairs < 0:
         raise ValueError("pairs must be >= 0")
     rng = np.random.default_rng(seed)
-    integers, random = rng.integers, rng.random
     branches = sys.branches
     alpha = sys.alpha
     # one row per branch: left, length, right, degree, target left, ratio, orientation
@@ -152,11 +204,7 @@ def scaling_deviation(sys: IntervalSystem, pairs: int, seed: int = 0) -> float:
 
     worst = 0.0
     for start in range(0, pairs, _CHUNK):
-        size = min(_CHUNK, pairs - start)
-        index, draws = np.empty(size, np.intp), np.empty((size, 4))
-        for i, row in enumerate(draws):
-            index[i] = integers(len(branches))
-            random(out=row)
+        index, draws = _draws(rng, len(branches), min(_CHUNK, pairs - start))
         u, v, t, r = draws.T
         left, length, right, degree, target, ratio, orientation = table[:, index]
         x = left + u * length

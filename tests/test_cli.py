@@ -566,12 +566,15 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# the graph files of the README tour and of the workflow's `dim --tol 1e-300` runs
+# the graph files of the README tour, of the workflow's `dim --tol 1e-300` runs,
+# and a two-vertex graph with five branches for the skew sampler
 GOLDEN_GRAPHS = {
     "two_loops.g": TWO_LOOPS,
     "23.g": "vertices 1\nedge 1 1 2\nedge 1 1 3\n",
     "tied.g": ("vertices 3\nedge 1 3 4\nedge 1 3 5\nedge 2 1 4\nedge 2 1 4\n"
                "edge 3 2 4\nedge 3 2 4\n"),
+    "five.g": ("vertices 2\nedge 1 1 2\nedge 1 2 3\nedge 2 1 2\nedge 2 1 5\n"
+               "edge 2 2 3\n"),
 }
 
 
@@ -600,8 +603,10 @@ def golden_outputs(line, directory):
 # `ifs kneading` rows before the close-pair walk grew the attractor level by
 # level, and the `pillow subdivide` depth-4 and depth-5 rows and the
 # workflow's `obstruct`, `dim --tol 1e-300` and `menger slice` rows before
-# the tiling kept its coordinates on integers; a different numpy may move a
-# last digit of a float.
+# the tiling kept its coordinates on integers, and the `verify gdms ... --out
+# d.csv`, depth-10 `gdms cover` CSV and five-branch `skew scaling` rows
+# before the skew draws were read off the generator's raw words; a different
+# numpy may move a last digit of a float.
 GOLDEN = {
     "cxcdyn graph --graph two_loops.g":
         (0, "c8814d24b8447c01669eddbef7e2591bf2f51205bb696354dd1eea4b640fc9d2", None),
@@ -689,6 +694,14 @@ GOLDEN = {
     "cxcdyn menger slice --depth 5 --resolution 243 --out s.pgm":
         (0, "be65d894084e28fbc2897513decdeef78631a61264246f0047c1dfa61fb2ead7",
          "d03a0fe69bdbb12755857160d62a3bbf3d5f753a9de3774409953d123e86610a"),
+    "cxcdyn verify gdms --graph two_loops.g --alpha 1/2 --depth 8 --skew-pairs 10000 --out d.csv":
+        (0, "e6d81f7bdf42b975cad7a8e5fdb6f7033f94995849cd61b22f77bb55df24161f",
+         "90d979b3478a8de9f0436ddc26d4d2f98eb4023e4681213281e77fb94a1cca6e"),
+    "cxcdyn gdms cover --graph two_loops.g --alpha 1/2 --depth 10 --out c.csv":
+        (0, "d9d97baeee7ca467aca8e57bc9d483b1becdfdf43b0a968e24bbf5dc82ff4fe3",
+         "0a45b087359105b09cbce3cecaff5bcd21cfa8071b58c43a5a16b655c2ddeb1b"),
+    "cxcdyn skew scaling --graph five.g --alpha 1/2 --pairs 10001":
+        (0, "d6f1e7237f0230d43799941ced2874fd39fbf21e0cde8a97e582cb4d929f6d70", None),
 }
 
 
@@ -705,14 +718,20 @@ GOLDEN = {
     "cxcdyn pillow obstruct --a 5/97".split(),
     "cxcdyn dim --graph 23.g --tol 1e-300".split(),
     "cxcdyn dim --graph tied.g --tol 1e-300".split(),
-    "cxcdyn menger slice --depth 5 --resolution 243 --out s.pgm".split()], ids=" ".join)
+    "cxcdyn menger slice --depth 5 --resolution 243 --out s.pgm".split(),
+    "cxcdyn verify gdms --graph two_loops.g --alpha 1/2 --depth 8 --skew-pairs 10000 "
+    "--out d.csv".split(),
+    "cxcdyn gdms cover --graph two_loops.g --alpha 1/2 --depth 10 --out c.csv".split(),
+    "cxcdyn skew scaling --graph five.g --alpha 1/2 --pairs 10001".split()], ids=" ".join)
 def test_tour_outputs_are_pinned(tmp_path, line):
     """Every README tour line, a folded-cube verifier run, two folded-cube
     checks (the CI command, and the translate fold over a second sampler
     batch), dendrite overlap and kneading runs (an overlapping, a disjoint
     and a dense parameter), tilings at four parameters, and the workflow's
-    sub-second `obstruct`, `dim` and `menger slice` runs print and write the
-    same bytes as when the table was recorded."""
+    sub-second `obstruct`, `dim` and `menger slice` runs, the gdms verifier's
+    distortion CSV, a depth-10 cover CSV and a five-branch skew sampler (an
+    odd branch count and an odd number of pairs) print and write the same
+    bytes as when the table was recorded."""
     assert golden_outputs(line, tmp_path) == GOLDEN[" ".join(line)]
 
 

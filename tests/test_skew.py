@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cxcdyn import skew
 from cxcdyn.gdms import GDMSPoint, apply_map, build_interval_system, locate_branch
 from cxcdyn.graphs import make_graph
 from cxcdyn.skew import (_CHUNK, SkewPoint, circle_distance, orbit, periodic_base_point,
@@ -105,13 +106,41 @@ class _Replay:
 ], ids=["angle", "first-point", "second-point"])
 def test_scaling_deviation_domain_errors_match_the_oracle(standard_system, monkeypatch,
                                                            doubles, message):
+    # no generator draws these doubles: the bulk sampler gets them from its
+    # draw helper, the oracle from a stand-in generator
+    monkeypatch.setattr(skew, "_draws",
+                        lambda rng, n, size: (np.zeros(1, np.intp), np.array([doubles])))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _Replay(doubles))
     errors = []
     for sampler in (scaling_deviation, oracles.scaling_deviation):
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: _Replay(doubles))
         with pytest.raises(ValueError, match=message) as info:
             sampler(standard_system, 1)
         errors.append(str(info.value))
     assert errors[0] == errors[1]
+
+
+def _round_by_round(rng, n, size):
+    index, draws = np.empty(size, np.intp), np.empty((size, 4))
+    for i, row in enumerate(draws):
+        index[i] = rng.integers(n)
+        rng.random(out=row)
+    return index, draws
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 3 * 2**30])
+def test_draws_read_the_round_by_round_stream(n):
+    # n = 3 * 2^30 rejects a quarter of the halves, so most chunks are
+    # redrawn round by round; the chunk sizes leave a high half held or not
+    for seed in (0, 1):
+        bulk, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in (1, 7, 4096, 1, 7):
+            index, draws = skew._draws(bulk, n, size)
+            expected_index, expected_draws = _round_by_round(loop, n, size)
+            assert index.dtype == expected_index.dtype
+            assert np.array_equal(index, expected_index)
+            assert draws.shape == expected_draws.shape
+            assert np.array_equal(draws, expected_draws)
+            assert bulk.bit_generator.state == loop.bit_generator.state
 
 
 def test_scaling_deviation_memory_does_not_grow_with_pairs(standard_system):
